@@ -23,6 +23,7 @@ use ftcoma_sim::Json;
 use ftcoma_workloads::SplashConfig;
 
 pub use ftcoma_campaign::lengths_for;
+pub use ftcoma_machine::Decomposition;
 
 /// The recovery-point frequencies of Fig. 3 (per simulated second).
 pub const PAPER_FREQS: [f64; 5] = [400.0, 200.0, 100.0, 50.0, 5.0];
@@ -162,56 +163,26 @@ pub fn run_pair(workload: &SplashConfig, nodes: u16, freq_hz: f64) -> Pair {
         .expect("one point in, one pair out")
 }
 
-/// Fig. 3's execution-time decomposition, as fractions of the standard
-/// execution time.
-#[derive(Debug, Clone, Copy)]
-pub struct Decomposition {
-    /// `T_ft / T_standard - 1`.
-    pub total_overhead: f64,
-    /// `T_create / T_standard`.
-    pub create: f64,
-    /// `T_commit / T_standard`.
-    pub commit: f64,
-    /// `T_pollution / T_standard` (may be slightly negative: simulation
-    /// noise when the pollution effect is ~0).
-    pub pollution: f64,
-}
-
 impl Pair {
-    /// Computes the decomposition `T_ft = T_std + T_create + T_commit +
-    /// T_pollution`.
+    /// Fig. 3's decomposition `T_ft = T_std + T_create + T_commit +
+    /// T_pollution` of the pair.
     pub fn decomposition(&self) -> Decomposition {
-        let t_std = self.std.total_cycles as f64;
-        let t_ft = self.ft.total_cycles as f64;
-        let create = self.ft.t_create as f64;
-        let commit = self.ft.t_commit as f64;
-        Decomposition {
-            total_overhead: t_ft / t_std - 1.0,
-            create: create / t_std,
-            commit: commit / t_std,
-            pollution: (t_ft - t_std - create - commit) / t_std,
-        }
+        self.ft.decomposition(&self.std)
     }
 }
 
 /// One labeled pair as a JSON row: the Fig. 3 decomposition plus both
-/// runs flattened through the metrics registry (the same series names the
-/// CLI's JSON export uses).
+/// runs' metrics documents (the CLI's `--json` export, without per-link
+/// rows).
 pub fn pair_json(label: &str, pair: &Pair) -> Json {
-    let d = pair.decomposition();
     Json::obj([
         ("label", Json::from(label)),
         (
             "decomposition",
-            Json::obj([
-                ("total_overhead", Json::from(d.total_overhead)),
-                ("create", Json::from(d.create)),
-                ("commit", Json::from(d.commit)),
-                ("pollution", Json::from(d.pollution)),
-            ]),
+            export::decomposition_json(&pair.decomposition()),
         ),
-        ("std", export::registry_from(&pair.std).to_json()),
-        ("ft", export::registry_from(&pair.ft).to_json()),
+        ("std", export::metrics_json(&pair.std, &[])),
+        ("ft", export::metrics_json(&pair.ft, &[])),
     ])
 }
 
@@ -310,12 +281,17 @@ mod tests {
             .get("decomposition")
             .and_then(|d| d.get("create"))
             .is_some());
-        // The registry series include per-node breakdowns.
-        let ft = row.get("ft").unwrap().as_array().unwrap();
-        assert!(ft.iter().any(|s| {
-            s.get("name").and_then(|v| v.as_str()) == Some("refs_total")
-                && s.get("labels").and_then(|l| l.get("node")).is_some()
-        }));
+        // The embedded metrics documents include per-node breakdowns.
+        let per_node = row
+            .get("ft")
+            .and_then(|d| d.get("per_node"))
+            .and_then(|v| v.as_array())
+            .unwrap();
+        assert_eq!(per_node.len(), 4);
+        assert_eq!(
+            per_node[1].get("refs").and_then(|v| v.as_u64()),
+            Some(pair.ft.per_node[1].refs)
+        );
         let dir = std::env::temp_dir();
         let path =
             write_bench_json_to(&dir, "unit_test", vec![pair_json("water@400", &pair)]).unwrap();

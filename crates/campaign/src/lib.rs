@@ -33,7 +33,7 @@
 //! assert_eq!(cells.len(), 2); // baseline + one ECP cell
 //! let outcomes = run_cells(&cells, 2);
 //! let doc = report::campaign_json(&spec, &cells, &outcomes);
-//! assert_eq!(doc.get("schema_version").and_then(|v| v.as_u64()), Some(7));
+//! assert_eq!(doc.get("schema_version").and_then(|v| v.as_u64()), Some(8));
 //! ```
 
 #![forbid(unsafe_code)]

@@ -1,7 +1,7 @@
 //! The campaign report: one versioned JSON document aggregating every
 //! cell's metrics, link report and overhead decomposition.
 //!
-//! The document is `schema_version` 5 (see
+//! The document carries the current `schema_version` (see
 //! [`ftcoma_machine::export::SCHEMA_VERSION`]); cells appear in id order
 //! regardless of the order workers finished them, and every field is a
 //! pure function of the spec — the property the CI `determinism` job
@@ -14,25 +14,6 @@ use ftcoma_sim::Json;
 
 use crate::runner::CellOutcome;
 use crate::spec::{CampaignSpec, Cell, ScenarioKind};
-
-/// The execution-time decomposition of one ECP cell against its group's
-/// standard-protocol baseline (`T_ft = T_std + T_create + T_commit +
-/// T_pollution`, fractions of `T_std`).
-fn decomposition_json(ft: &RunMetrics, std: &RunMetrics) -> Json {
-    let t_std = std.total_cycles as f64;
-    let t_ft = ft.total_cycles as f64;
-    let create = ft.t_create as f64;
-    let commit = ft.t_commit as f64;
-    Json::obj([
-        ("total_overhead", Json::from(t_ft / t_std - 1.0)),
-        ("create", Json::from(create / t_std)),
-        ("commit", Json::from(commit / t_std)),
-        (
-            "pollution",
-            Json::from((t_ft - t_std - create - commit) / t_std),
-        ),
-    ])
-}
 
 /// One cell's row in the report: identity, configuration summary,
 /// decomposition (ECP cells with a baseline in their group) and the full
@@ -49,7 +30,7 @@ pub fn cell_json(cell: &Cell, outcome: &CellOutcome, baseline: Option<&RunMetric
         cell.scenario.to_json()
     };
     let decomposition = match (cell.is_ft(), baseline) {
-        (true, Some(std)) => decomposition_json(&outcome.metrics, std),
+        (true, Some(std)) => export::decomposition_json(&outcome.metrics.decomposition(std)),
         _ => Json::Null,
     };
     Json::obj([

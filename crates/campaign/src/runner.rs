@@ -28,8 +28,7 @@ use std::time::Instant;
 
 use ftcoma_core::RecoveryOutcome;
 use ftcoma_machine::{
-    tracelog::TraceEvent, FailureKind, FaultDist, FaultProcessConfig, Machine, MachineConfig,
-    Snapshot,
+    FailureKind, FaultDist, FaultProcessConfig, Machine, MachineConfig, Snapshot,
 };
 use ftcoma_mem::NodeId;
 use ftcoma_net::LinkReport;
@@ -46,9 +45,6 @@ pub struct CellOutcome {
     pub metrics: ftcoma_machine::RunMetrics,
     /// Per-link interconnect breakdown (empty for bus fabrics).
     pub links: Vec<LinkReport>,
-    /// Retained protocol trace (empty unless the cell's config set
-    /// `trace_capacity`).
-    pub trace: Vec<TraceEvent>,
     /// Structured recovery verdict: the machine's own outcome, downgraded
     /// to `InvariantViolation` if the post-run invariant sweep found
     /// problems a recovered run should not have.
@@ -58,8 +54,8 @@ pub struct CellOutcome {
     pub owner_image: Vec<(u64, u64)>,
     /// Per-stream emitted-reference counts (liveness oracle input).
     pub stream_progress: Vec<u64>,
-    /// Retained causal span records (empty unless the cell's config set
-    /// `trace_capacity`).
+    /// Retained trace records — causal spans and instant protocol events
+    /// (empty unless the cell's config set `trace_capacity`).
     pub spans: Vec<ftcoma_sim::span::SpanRecord>,
     /// Sampled time-series rows (empty unless the cell's config set
     /// `timeseries_every`).
@@ -203,7 +199,6 @@ fn finish_cell(cell: &Cell, mut machine: Machine, start: Instant) -> CellOutcome
         cell_id: cell.id,
         metrics,
         links: machine.link_report(),
-        trace: machine.trace(),
         outcome,
         owner_image: machine.owner_image(),
         stream_progress: machine.stream_progress(),
@@ -444,7 +439,6 @@ mod tests {
             assert_eq!(got.stream_progress, straight.stream_progress);
             assert_eq!(got.timeseries, straight.timeseries);
             assert_eq!(got.spans, straight.spans);
-            assert_eq!(got.trace, straight.trace);
             assert_eq!(got.links, straight.links);
             assert_eq!(got.data_loss_certified, straight.data_loss_certified);
             assert_eq!(

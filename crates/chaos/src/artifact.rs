@@ -7,8 +7,8 @@
 //! counterexample either reproduces exactly or the artifact is stale.
 
 use ftcoma_campaign::Scenario;
-use ftcoma_machine::export::{span_json, SCHEMA_VERSION};
-use ftcoma_sim::span::{SpanPhase, SpanRecord};
+use ftcoma_machine::export::{span_from_json, span_json, SCHEMA_VERSION};
+use ftcoma_sim::span::SpanRecord;
 use ftcoma_sim::Json;
 
 /// One minimized failing case, self-contained for replay.
@@ -143,29 +143,17 @@ impl Counterexample {
             recovery_timeline: doc
                 .get("recovery_timeline")
                 .and_then(Json::as_array)
-                .map(|xs| xs.iter().filter_map(parse_span).collect())
+                .map(|xs| xs.iter().filter_map(|r| span_from_json(r).ok()).collect())
                 .unwrap_or_default(),
         })
     }
-}
-
-/// Parses one serialized span row ([`span_json`] format); `None` for
-/// malformed rows.
-fn parse_span(row: &Json) -> Option<SpanRecord> {
-    Some(SpanRecord {
-        id: row.get("id").and_then(Json::as_u64)?,
-        parent: row.get("parent").and_then(Json::as_u64)?,
-        phase: SpanPhase::from_name(row.get("phase").and_then(Json::as_str)?)?,
-        node: u16::try_from(row.get("node").and_then(Json::as_u64)?).ok()?,
-        start: row.get("start").and_then(Json::as_u64)?,
-        end: row.get("end").and_then(Json::as_u64)?,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ftcoma_campaign::ScenarioKind;
+    use ftcoma_sim::span::SpanPhase;
 
     fn sample() -> Counterexample {
         Counterexample {
@@ -198,22 +186,8 @@ mod tests {
             reasons: vec!["golden-replay: item 7 lost (golden value 9)".into()],
             shrink_runs: 21,
             recovery_timeline: vec![
-                SpanRecord {
-                    id: 40,
-                    parent: 0,
-                    phase: SpanPhase::Recovery,
-                    node: 1,
-                    start: 42_000,
-                    end: 44_500,
-                },
-                SpanRecord {
-                    id: 41,
-                    parent: 40,
-                    phase: SpanPhase::Rollback,
-                    node: 1,
-                    start: 42_000,
-                    end: 42_800,
-                },
+                SpanRecord::new(40, 0, SpanPhase::Recovery, 1, 42_000, 44_500),
+                SpanRecord::new(41, 40, SpanPhase::Rollback, 1, 42_000, 42_800),
             ],
         }
     }

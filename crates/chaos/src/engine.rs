@@ -923,7 +923,6 @@ mod tests {
                 cell_id: cell.id,
                 metrics: RunMetrics::default(),
                 links: Vec::new(),
-                trace: Vec::new(),
                 outcome: if broken {
                     RecoveryOutcome::InvariantViolation {
                         at: cell.scenario.at,

@@ -216,7 +216,6 @@ mod tests {
                 ..RunMetrics::default()
             },
             links: Vec::new(),
-            trace: Vec::new(),
             outcome,
             owner_image: image,
             stream_progress: progress,

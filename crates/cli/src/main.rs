@@ -25,13 +25,10 @@ use ftcoma_campaign::{
 use ftcoma_chaos::{ChaosConfig, Counterexample, Verdict};
 use ftcoma_core::{FtConfig, RecoveryOutcome};
 use ftcoma_machine::TsSample;
-use ftcoma_machine::{
-    export, probe, tracelog::TraceEvent, FailureKind, Machine, MachineConfig, RetryPolicy,
-    RunMetrics,
-};
+use ftcoma_machine::{export, probe, FailureKind, Machine, MachineConfig, RetryPolicy, RunMetrics};
 use ftcoma_mem::NodeId;
 use ftcoma_net::LinkReport;
-use ftcoma_sim::span::{SpanPhase, SpanRecord};
+use ftcoma_sim::span::SpanRecord;
 use ftcoma_sim::{Clock, Json};
 use ftcoma_workloads::{presets, SplashConfig};
 
@@ -80,9 +77,8 @@ USAGE
                   [--fail-node K]]
                   [--rto-base C] [--rto-cap C] [--max-retries N]
                   [--json] [--metrics-out FILE] [--trace-out FILE]
-                  [--trace-jsonl FILE] [--trace-capacity N]
-                  [--spans-out FILE] [--timeseries-out FILE]
-                  [--timeseries-every CYCLES]
+                  [--trace-capacity N] [--spans-out FILE]
+                  [--timeseries-out FILE] [--timeseries-every CYCLES]
   ftcoma compare  --workload W [--nodes N] [--refs R] [--warmup U] [--freq F]
   ftcoma sweep    --workload W [--nodes N] [--freqs F1,F2,...] [--jobs J]
   ftcoma failure  --workload W --kind transient|permanent|continuous
@@ -138,12 +134,13 @@ OBSERVABILITY (run and failure; see docs/OBSERVABILITY.md)
   --json                   print the run metrics as versioned JSON on stdout
   --metrics-out FILE       also write that JSON document to FILE
   --trace-out FILE         write a Chrome trace-event file (Perfetto-viewable;
-                           includes causal spans and flow arrows)
-  --trace-jsonl FILE       write the protocol trace as JSON Lines
-  --trace-capacity N       retain the last N trace events and causal spans
-                           (default 1000000 when a trace or span output is
-                           requested, else 0)
-  --spans-out FILE         write the causal span records as JSON Lines
+                           causal spans with flow arrows, protocol events
+                           as instants)
+  --trace-capacity N       retain the newest N trace records — causal spans
+                           and protocol events share one ring (default
+                           1000000 when --trace-out or --spans-out is
+                           given, else 0)
+  --spans-out FILE         write the trace records as JSON Lines
   --timeseries-out FILE    write epoch-sampled time-series rows as JSON Lines
   --timeseries-every N     sample every N cycles (default 10000 when
                            --timeseries-out is given, else off)
@@ -178,8 +175,7 @@ fn machine_config(p: &Parsed) -> Result<MachineConfig, ArgError> {
     } else {
         Default::default()
     };
-    let default_trace_capacity = if p.has("trace-out") || p.has("trace-jsonl") || p.has("spans-out")
-    {
+    let default_trace_capacity = if p.has("trace-out") || p.has("spans-out") {
         1_000_000
     } else {
         0
@@ -220,7 +216,6 @@ fn export_outputs(
     p: &Parsed,
     metrics: &RunMetrics,
     links: &[LinkReport],
-    trace: &[TraceEvent],
     spans: &[SpanRecord],
     timeseries: &[TsSample],
     outcome: &RecoveryOutcome,
@@ -251,13 +246,10 @@ fn export_outputs(
         }
     }
     if p.has("trace-out") {
-        let chrome = export::chrome_trace_with_spans(trace, spans, Clock::ksr1().hz());
+        let chrome = export::chrome_trace_with_spans(spans, Clock::ksr1().hz());
         let mut text = chrome.to_string_compact();
         text.push('\n');
         write(&p.str_or("trace-out", ""), &text)?;
-    }
-    if p.has("trace-jsonl") {
-        write(&p.str_or("trace-jsonl", ""), &export::trace_jsonl(trace))?;
     }
     if p.has("spans-out") {
         write(&p.str_or("spans-out", ""), &export::spans_jsonl(spans))?;
@@ -333,7 +325,6 @@ const RUN_FLAGS: &[&str] = &[
     "json",
     "metrics-out",
     "trace-out",
-    "trace-jsonl",
     "trace-capacity",
     "spans-out",
     "timeseries-out",
@@ -439,7 +430,6 @@ fn cmd_run(p: &Parsed) -> Result<(), ArgError> {
         p,
         &metrics,
         &machine.link_report(),
-        &machine.trace(),
         &machine.spans(),
         machine.timeseries(),
         &outcome,
@@ -461,27 +451,17 @@ fn cmd_compare(p: &Parsed) -> Result<(), ArgError> {
     };
     let std_m = Machine::new(std_cfg).run();
     let ft_m = Machine::new(ft_cfg.clone()).run();
-    let t_std = std_m.total_cycles as f64;
-    let poll = ft_m.total_cycles as f64 - t_std - ft_m.t_create as f64 - ft_m.t_commit as f64;
+    let d = ft_m.decomposition(&std_m);
     println!(
         "{} on {} nodes at {} rp/s:",
         ft_cfg.workload.name, ft_cfg.nodes, ft_cfg.ft.ckpt_rate_hz
     );
     println!("standard    {:>12} cycles", std_m.total_cycles);
     println!("ECP         {:>12} cycles", ft_m.total_cycles);
-    println!(
-        "overhead    {:>11.1}%",
-        (ft_m.total_cycles as f64 / t_std - 1.0) * 100.0
-    );
-    println!(
-        "  create    {:>11.1}%",
-        ft_m.t_create as f64 / t_std * 100.0
-    );
-    println!(
-        "  commit    {:>11.1}%",
-        ft_m.t_commit as f64 / t_std * 100.0
-    );
-    println!("  pollution {:>11.1}%", poll / t_std * 100.0);
+    println!("overhead    {:>11.1}%", d.total_overhead * 100.0);
+    println!("  create    {:>11.1}%", d.create * 100.0);
+    println!("  commit    {:>11.1}%", d.commit * 100.0);
+    println!("  pollution {:>11.1}%", d.pollution * 100.0);
     Ok(())
 }
 
@@ -520,7 +500,6 @@ fn cmd_sweep(p: &Parsed) -> Result<(), ArgError> {
     let cells = spec.expand();
     let outcomes = run_cells(&cells, jobs_flag(p)?);
     let std_m = &outcomes[0].metrics;
-    let t_std = std_m.total_cycles as f64;
     println!(
         "baseline (standard protocol): {} cycles over {} refs",
         std_m.total_cycles, std_m.refs
@@ -530,15 +509,14 @@ fn cmd_sweep(p: &Parsed) -> Result<(), ArgError> {
         "rp/s", "overhead", "create", "commit", "pollution"
     );
     for (cell, outcome) in cells.iter().zip(&outcomes).skip(1) {
-        let ft_m = &outcome.metrics;
-        let poll = ft_m.total_cycles as f64 - t_std - ft_m.t_create as f64 - ft_m.t_commit as f64;
+        let d = outcome.metrics.decomposition(std_m);
         println!(
             "{:>8}  {:>8.1}%  {:>7.1}%  {:>7.1}%  {:>8.1}%",
             cell.cfg.ft.ckpt_rate_hz,
-            (ft_m.total_cycles as f64 / t_std - 1.0) * 100.0,
-            ft_m.t_create as f64 / t_std * 100.0,
-            ft_m.t_commit as f64 / t_std * 100.0,
-            poll / t_std * 100.0,
+            d.total_overhead * 100.0,
+            d.create * 100.0,
+            d.commit * 100.0,
+            d.pollution * 100.0,
         );
     }
     Ok(())
@@ -566,7 +544,6 @@ fn cmd_failure(p: &Parsed) -> Result<(), ArgError> {
         "json",
         "metrics-out",
         "trace-out",
-        "trace-jsonl",
         "trace-capacity",
         "spans-out",
         "timeseries-out",
@@ -669,7 +646,6 @@ fn cmd_failure(p: &Parsed) -> Result<(), ArgError> {
         p,
         &outcome.metrics,
         &outcome.links,
-        &outcome.trace,
         &outcome.spans,
         &outcome.timeseries,
         &outcome.outcome,
@@ -1011,23 +987,22 @@ fn parse_spans_jsonl(text: &str) -> Result<Vec<SpanRecord>, ArgError> {
         if row.get("type").is_some() {
             continue; // meta header
         }
-        let parsed = (|| {
-            Some(SpanRecord {
-                id: row.get("id").and_then(Json::as_u64)?,
-                parent: row.get("parent").and_then(Json::as_u64)?,
-                phase: SpanPhase::from_name(row.get("phase").and_then(Json::as_str)?)?,
-                node: u16::try_from(row.get("node").and_then(Json::as_u64)?).ok()?,
-                start: row.get("start").and_then(Json::as_u64)?,
-                end: row.get("end").and_then(Json::as_u64)?,
-            })
-        })();
-        spans.push(parsed.ok_or_else(|| ArgError(format!("line {}: malformed span row", ln + 1)))?);
+        let span =
+            export::span_from_json(&row).map_err(|e| ArgError(format!("line {}: {e}", ln + 1)))?;
+        spans.push(span);
     }
     Ok(spans)
 }
 
 /// Prints the `top` slowest roots with their per-phase decomposition.
+/// Only the transaction and recovery trees count: checkpoint spans and
+/// protocol-event instants are skipped.
 fn print_span_summary(spans: &[SpanRecord], top: usize) {
+    let spans: Vec<SpanRecord> = spans
+        .iter()
+        .copied()
+        .filter(|s| s.phase.is_causal())
+        .collect();
     let mut roots: Vec<&SpanRecord> = spans.iter().filter(|s| s.parent == 0).collect();
     // Slowest first; id breaks ties so the listing is deterministic.
     roots.sort_by(|a, b| b.duration().cmp(&a.duration()).then(a.id.cmp(&b.id)));

@@ -41,7 +41,7 @@ fn run_json_emits_versioned_schema_on_stdout() {
     let text = std::str::from_utf8(&out.stdout).expect("utf-8 stdout");
     let doc = Json::parse(text).expect("stdout is one valid JSON document");
 
-    assert_eq!(doc.get("schema_version").and_then(|v| v.as_u64()), Some(7));
+    assert_eq!(doc.get("schema_version").and_then(|v| v.as_u64()), Some(8));
     let machine = doc.get("machine").expect("machine section");
     for key in [
         "nodes",
@@ -146,7 +146,7 @@ fn chaos_smoke_is_deterministic_and_passes() {
         );
         let text = std::str::from_utf8(&out.stdout).unwrap().to_string();
         let doc = Json::parse(&text).expect("chaos report parses");
-        assert_eq!(doc.get("schema_version").and_then(|v| v.as_u64()), Some(7));
+        assert_eq!(doc.get("schema_version").and_then(|v| v.as_u64()), Some(8));
         assert_eq!(doc.get("kind").and_then(|v| v.as_str()), Some("chaos"));
         let oracle = doc.get("oracle").expect("oracle tallies");
         assert_eq!(oracle.get("fail").and_then(|v| v.as_u64()), Some(0));
@@ -208,7 +208,7 @@ fn metrics_and_trace_files_are_valid_json() {
     for (flag, path) in [
         ("--metrics-out", &metrics),
         ("--trace-out", &trace),
-        ("--trace-jsonl", &jsonl),
+        ("--spans-out", &jsonl),
     ] {
         args.push(flag.to_string());
         args.push(path.to_string_lossy().into_owned());
@@ -221,7 +221,7 @@ fn metrics_and_trace_files_are_valid_json() {
     );
 
     let m = Json::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
-    assert_eq!(m.get("schema_version").and_then(|v| v.as_u64()), Some(7));
+    assert_eq!(m.get("schema_version").and_then(|v| v.as_u64()), Some(8));
 
     let t = Json::parse(&std::fs::read_to_string(&trace).unwrap()).unwrap();
     let events = t.get("traceEvents").unwrap().as_array().unwrap();
@@ -235,17 +235,22 @@ fn metrics_and_trace_files_are_valid_json() {
             assert!(e.get("ts").is_some(), "non-metadata rows need a timestamp");
         }
     }
-    // At least one per-node complete span (a commit scan) made it in.
-    assert!(events
-        .iter()
-        .any(|e| e.get("ph").and_then(|v| v.as_str()) == Some("X")));
+    // Commit scans are complete slices; deliveries are instants.
+    let has = |ph: &str, name: &str| {
+        events.iter().any(|e| {
+            e.get("ph").and_then(|v| v.as_str()) == Some(ph)
+                && e.get("name").and_then(|v| v.as_str()) == Some(name)
+        })
+    };
+    assert!(has("X", "commit"), "no commit scan slice");
+    assert!(has("i", "ReadReq"), "no delivery instant");
 
     let lines: Vec<String> = std::fs::read_to_string(&jsonl)
         .unwrap()
         .lines()
         .map(String::from)
         .collect();
-    assert!(lines.len() > 1, "JSONL needs a header and events");
+    assert!(lines.len() > 1, "JSONL needs a header and records");
     for line in &lines {
         Json::parse(line).expect("every JSONL line parses");
     }
@@ -254,8 +259,13 @@ fn metrics_and_trace_files_are_valid_json() {
             .unwrap()
             .get("schema_version")
             .and_then(|v| v.as_u64()),
-        Some(7)
+        Some(8)
     );
+    // The protocol trace is part of the span stream: no separate flag.
+    let mut old = RUN_ARGS.to_vec();
+    old.extend(["--trace-jsonl", "unused.jsonl"]);
+    let out = ftcoma(&old);
+    assert!(!out.status.success(), "--trace-jsonl must be rejected");
 
     for p in [metrics, trace, jsonl] {
         let _ = std::fs::remove_file(p);
@@ -363,7 +373,7 @@ fn campaign_is_deterministic_across_job_counts() {
         );
         let text = std::str::from_utf8(&out.stdout).unwrap().to_string();
         let doc = Json::parse(&text).expect("campaign report parses");
-        assert_eq!(doc.get("schema_version").and_then(|v| v.as_u64()), Some(7));
+        assert_eq!(doc.get("schema_version").and_then(|v| v.as_u64()), Some(8));
         assert_eq!(doc.get("kind").and_then(|v| v.as_str()), Some("campaign"));
         // 2 workloads x (1 baseline + 2 scenarios) = 6 cells.
         assert_eq!(doc.get("cells").unwrap().as_array().unwrap().len(), 6);
@@ -436,4 +446,26 @@ fn export_failures_exit_through_the_error_path_not_a_panic() {
 fn json_rejects_unknown_subcommand_flags() {
     let out = ftcoma(&["latency", "--json"]);
     assert!(!out.status.success(), "latency does not take --json");
+}
+
+/// A span row that ends before it starts is a clean error (exit 1 with the
+/// offending line), not an overflow panic or a huge bogus duration.
+#[test]
+fn trace_summarize_rejects_a_span_that_ends_before_it_starts() {
+    let path = std::env::temp_dir().join(format!("ftcoma_test_bad_{}.jsonl", std::process::id()));
+    std::fs::write(
+        &path,
+        "{\"type\":\"meta\",\"schema_version\":8,\"spans\":1}\n\
+         {\"id\":1,\"parent\":0,\"phase\":\"transaction\",\"node\":0,\"start\":10,\"end\":5}\n",
+    )
+    .unwrap();
+    let out = ftcoma(&["trace", "summarize", "--spans", &path.to_string_lossy()]);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("error: line 2: span 1 ends at cycle 5 before it starts at cycle 10"),
+        "stderr: {stderr}"
+    );
+    assert!(out.stdout.is_empty(), "nothing is summarized");
 }

@@ -64,9 +64,9 @@ pub struct MachineConfig {
     /// Track a committed-value oracle and verify every recovery against it
     /// (costs memory; on by default in tests, off in benches).
     pub verify: bool,
-    /// Retain the last N protocol events for post-mortem inspection
-    /// (`0` = tracing off; see [`crate::tracelog`]). Also bounds the causal
-    /// span ring (see `ftcoma_sim::span`).
+    /// Retain the newest N trace records — causal spans and instant
+    /// protocol events, in one ring — for post-mortem inspection (`0` =
+    /// tracing off; see [`crate::Machine::spans`] and `ftcoma_sim::span`).
     pub trace_capacity: usize,
     /// Emit one time-series sample row every N cycles (`0` = off). Sampling
     /// is pure observation: it never schedules events and cannot perturb

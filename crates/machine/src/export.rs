@@ -1,5 +1,6 @@
-//! Structured exporters: run metrics as versioned JSON, protocol traces as
-//! JSONL and as Chrome trace-event files.
+//! Structured exporters: run metrics as versioned JSON, the trace ring
+//! (causal spans and instant protocol events) as JSONL and as Chrome
+//! trace-event files.
 //!
 //! Every export carries [`SCHEMA_VERSION`] so downstream tooling can detect
 //! incompatible changes. The JSON model is the order-stable
@@ -23,24 +24,22 @@
 //! });
 //! let metrics = m.run();
 //! let doc = export::metrics_json(&metrics, &m.link_report());
-//! assert_eq!(doc.get("schema_version").and_then(|v| v.as_u64()), Some(7));
-//! let trace = export::chrome_trace_with_spans(&m.trace(), &m.spans(), 20_000_000.0);
+//! assert_eq!(doc.get("schema_version").and_then(|v| v.as_u64()), Some(8));
+//! let trace = export::chrome_trace_with_spans(&m.spans(), 20_000_000.0);
 //! assert!(!trace.get("traceEvents").unwrap().as_array().unwrap().is_empty());
 //! ```
 
 use ftcoma_net::LinkReport;
+use ftcoma_protocol::Msg;
 use ftcoma_sim::json::Json;
-use ftcoma_sim::registry::MetricsRegistry;
-use ftcoma_sim::span::{SpanPhase, SpanRecord};
-use ftcoma_sim::Cycles;
+use ftcoma_sim::span::{SpanId, SpanPhase, SpanRecord};
+use ftcoma_sim::{Cycles, FxHashMap};
 
-use crate::metrics::{NodeMetrics, RunMetrics, TsSample};
-use crate::tracelog::TraceEvent;
+use crate::metrics::{Decomposition, NodeMetrics, RunMetrics, TsSample};
 
 /// Version of the exported JSON schemas. Bump on any breaking change to
-/// the key set or meaning of [`metrics_json`], [`trace_jsonl`], the bench
-/// harness documents built from [`registry_from`], or the campaign report
-/// produced by `ftcoma-campaign`.
+/// the key set or meaning of [`metrics_json`], [`spans_jsonl`], the bench
+/// harness documents, or the campaign report produced by `ftcoma-campaign`.
 ///
 /// Version history:
 /// * 1 — per-run metrics document, JSONL trace, bench documents.
@@ -77,7 +76,14 @@ use crate::tracelog::TraceEvent;
 ///   gains the `restart` histogram (abandoned recovery windows); traces
 ///   gain `recovery_restarted` events; the `nested` campaign scenario and
 ///   the chaos report's `"nested"` config flag are introduced.
-pub const SCHEMA_VERSION: u64 = 7;
+/// * 8 — one trace stream: protocol events become span rows
+///   ([`span_json`]) — instants for deliveries, failures, link and router
+///   faults, recovery restarts and repairs, and `create`/`commit` spans for
+///   recovery-point establishment; the separate JSONL protocol trace is
+///   gone, and Chrome slices come from span rows only. Bench documents
+///   embed [`metrics_json`] documents for both runs of a pair. The
+///   metrics document's key tree is unchanged.
+pub const SCHEMA_VERSION: u64 = 8;
 
 /// Serializes a [`RecoveryOutcome`](ftcoma_core::RecoveryOutcome) as a JSON
 /// object: `{"status": <label>}` plus the variant's fields (`at`/`item` for
@@ -128,6 +134,17 @@ pub fn metrics_json(m: &RunMetrics, links: &[LinkReport]) -> Json {
             "per_link",
             Json::arr(links.iter().map(|l| link_row(l, m.total_cycles))),
         ),
+    ])
+}
+
+/// Fig. 3's decomposition (`T_ft = T_std + T_create + T_commit +
+/// T_pollution`) as an object of fractions of `T_std`.
+pub fn decomposition_json(d: &Decomposition) -> Json {
+    Json::obj([
+        ("total_overhead", Json::from(d.total_overhead)),
+        ("create", Json::from(d.create)),
+        ("commit", Json::from(d.commit)),
+        ("pollution", Json::from(d.pollution)),
     ])
 }
 
@@ -301,143 +318,89 @@ fn link_row(l: &LinkReport, total_cycles: Cycles) -> Json {
     ])
 }
 
-/// Flattens a run into labeled counter/gauge series — the uniform
-/// representation the bench harness stores alongside its decomposition
-/// documents.
-pub fn registry_from(m: &RunMetrics) -> MetricsRegistry {
-    let mut reg = MetricsRegistry::new();
-    reg.counter_add("refs_total", &[], m.refs);
-    reg.counter_add("instructions_total", &[], m.instructions);
-    reg.counter_add("read_misses_total", &[], m.read_misses);
-    reg.counter_add("write_misses_total", &[], m.write_misses);
-    reg.counter_add("checkpoints_total", &[], m.checkpoints);
-    reg.counter_add("failures_total", &[], m.failures);
-    reg.counter_add("repairs_total", &[], m.repairs);
-    reg.counter_add("faults_survived_total", &[], m.faults_survived);
-    reg.counter_add("faults_unsurvivable_total", &[], m.faults_unsurvivable);
-    reg.counter_add("recovery_restarts_total", &[], m.recovery_restarts);
-    reg.counter_add("items_checkpointed_total", &[], m.items_checkpointed);
-    reg.counter_add("replication_bytes_total", &[], m.replication_bytes);
-    reg.counter_add("net_messages_total", &[], m.net_messages);
-    reg.counter_add("net_retries_total", &[], m.net_retries);
-    reg.counter_add("net_timeouts_total", &[], m.net_timeouts);
-    reg.counter_add("net_detour_hops_total", &[], m.net_detour_hops);
-    reg.counter_add("net_dropped_msgs_total", &[], m.net_dropped_msgs);
-    for (cause, v) in [
-        ("replacement", m.injections_replacement),
-        ("on_read", m.injections_on_read),
-        ("write_inv_ck", m.injections_write_inv_ck),
-        ("write_shared_ck", m.injections_write_shared_ck),
-    ] {
-        reg.counter_add("injections_total", &[("cause", cause)], v);
-    }
-    reg.gauge_set("read_miss_rate", &[], m.read_miss_rate());
-    reg.gauge_set("write_miss_rate", &[], m.write_miss_rate());
-    reg.gauge_set("pages_allocated", &[], m.pages_allocated as f64);
-    reg.gauge_set("pages_peak", &[], m.pages_peak as f64);
-    let s = m.access_latency.summary();
-    reg.gauge_set("access_latency_p50", &[], s.p50);
-    reg.gauge_set("access_latency_p90", &[], s.p90);
-    reg.gauge_set("access_latency_p99", &[], s.p99);
-    reg.gauge_set("availability", &[], m.availability());
-    reg.gauge_set("mttr_cycles", &[], m.mttr_cycles());
-    for (name, h) in m.phases.named() {
-        let labels: &[(&str, &str)] = &[("phase", name)];
-        let ps = h.summary();
-        reg.counter_add("phase_samples_total", labels, ps.count);
-        reg.gauge_set("phase_latency_p50", labels, ps.p50);
-        reg.gauge_set("phase_latency_p99", labels, ps.p99);
-    }
-    for (i, n) in m.per_node.iter().enumerate() {
-        let id = i.to_string();
-        let labels: &[(&str, &str)] = &[("node", id.as_str())];
-        reg.counter_add("refs_total", labels, n.refs);
-        reg.counter_add("read_misses_total", labels, n.read_misses);
-        reg.counter_add("write_misses_total", labels, n.write_misses);
-        reg.counter_add("node_injections_total", labels, n.injections);
-        reg.counter_add("ckpt_stall_cycles_total", labels, n.ckpt_stall_cycles);
-        reg.counter_add("rollback_cycles_total", labels, n.rollback_cycles);
-        reg.gauge_set("pages_allocated", labels, n.pages_allocated as f64);
-    }
-    reg
-}
-
-/// One trace event as a flat JSON object (`type` + `at` + variant fields).
-pub fn trace_event_json(e: &TraceEvent) -> Json {
+/// One trace record as a flat JSON object: `id`, `parent`, `phase`,
+/// `node`, `start`, `end`, then the phase's detail — `kind` for a
+/// delivery and the argument under its [`SpanPhase::arg_name`]
+/// (`permanent` as a boolean).
+pub fn span_json(s: &SpanRecord) -> Json {
     let mut pairs = vec![
-        ("type".to_string(), Json::from(e.kind_tag())),
-        ("at".to_string(), Json::from(e.at())),
+        ("id".to_string(), Json::from(s.id)),
+        ("parent".to_string(), Json::from(s.parent)),
+        ("phase".to_string(), Json::from(s.phase.name())),
+        ("node".to_string(), Json::from(s.node as u64)),
+        ("start".to_string(), Json::from(s.start)),
+        ("end".to_string(), Json::from(s.end)),
     ];
-    match e {
-        TraceEvent::Delivery { to, kind, item, .. } => {
-            pairs.push(("to".to_string(), Json::from(to.index())));
-            pairs.push(("kind".to_string(), Json::from(*kind)));
-            pairs.push(("item".to_string(), Json::from(item.index())));
-        }
-        TraceEvent::CheckpointBegun { gen, .. } | TraceEvent::CheckpointCommitted { gen, .. } => {
-            pairs.push(("gen".to_string(), Json::from(*gen)));
-        }
-        TraceEvent::NodeCommit { node, dur, .. } | TraceEvent::NodeRollback { node, dur, .. } => {
-            pairs.push(("node".to_string(), Json::from(node.index())));
-            pairs.push(("dur".to_string(), Json::from(*dur)));
-        }
-        TraceEvent::LinkCut { a, b, .. } | TraceEvent::LinkRepaired { a, b, .. } => {
-            pairs.push(("a".to_string(), Json::from(a.index())));
-            pairs.push(("b".to_string(), Json::from(b.index())));
-        }
-        TraceEvent::RouterDown { node, .. } => {
-            pairs.push(("node".to_string(), Json::from(node.index())));
-        }
-        TraceEvent::Failure {
-            node, permanent, ..
-        } => {
-            pairs.push(("node".to_string(), Json::from(node.index())));
-            pairs.push(("permanent".to_string(), Json::from(*permanent)));
-        }
-        TraceEvent::RecoveryRestarted { node, depth, .. } => {
-            pairs.push(("node".to_string(), Json::from(node.index())));
-            pairs.push(("depth".to_string(), Json::from(*depth)));
-        }
-        TraceEvent::Recovered { .. } => {}
-        TraceEvent::Repaired { node, .. } => {
-            pairs.push(("node".to_string(), Json::from(node.index())));
-        }
-    }
+    pairs.extend(span_detail(s));
     Json::Obj(pairs)
 }
 
-/// Renders a trace as JSON Lines: a `meta` header line carrying
-/// [`SCHEMA_VERSION`], then one compact object per event.
-pub fn trace_jsonl(events: &[TraceEvent]) -> String {
-    let mut out = String::new();
-    let header = Json::obj([
-        ("type", Json::from("meta")),
-        ("schema_version", Json::from(SCHEMA_VERSION)),
-        ("events", Json::from(events.len())),
-    ]);
-    out.push_str(&header.to_string_compact());
-    out.push('\n');
-    for e in events {
-        out.push_str(&trace_event_json(e).to_string_compact());
-        out.push('\n');
+/// The phase-specific keys of a record (empty for most phases).
+fn span_detail(s: &SpanRecord) -> Vec<(String, Json)> {
+    let mut pairs = Vec::new();
+    if s.phase == SpanPhase::Delivery {
+        pairs.push(("kind".to_string(), Json::from(s.kind)));
     }
-    out
+    if let Some(key) = s.phase.arg_name() {
+        let arg = if s.phase == SpanPhase::Failure {
+            Json::from(s.arg != 0)
+        } else {
+            Json::from(s.arg)
+        };
+        pairs.push((key.to_string(), arg));
+    }
+    pairs
 }
 
-/// One span record as a flat JSON object.
-pub fn span_json(s: &SpanRecord) -> Json {
-    Json::obj([
-        ("id", Json::from(s.id)),
-        ("parent", Json::from(s.parent)),
-        ("phase", Json::from(s.phase.name())),
-        ("node", Json::from(s.node as u64)),
-        ("start", Json::from(s.start)),
-        ("end", Json::from(s.end)),
-    ])
+/// Parses one [`span_json`] row. Rejects a missing or mistyped field, an
+/// unknown phase or message kind, and a record that ends before it
+/// starts.
+pub fn span_from_json(row: &Json) -> Result<SpanRecord, String> {
+    let malformed = || "malformed span row".to_string();
+    let num = |key: &str| row.get(key).and_then(Json::as_u64).ok_or_else(malformed);
+    let phase = row
+        .get("phase")
+        .and_then(Json::as_str)
+        .and_then(SpanPhase::from_name)
+        .ok_or_else(malformed)?;
+    let node = u16::try_from(num("node")?).map_err(|_| malformed())?;
+    let mut s = SpanRecord::new(
+        num("id")?,
+        num("parent")?,
+        phase,
+        node,
+        num("start")?,
+        num("end")?,
+    );
+    if s.end < s.start {
+        return Err(format!(
+            "span {} ends at cycle {} before it starts at cycle {}",
+            s.id, s.end, s.start
+        ));
+    }
+    if phase == SpanPhase::Delivery {
+        let kind = row
+            .get("kind")
+            .and_then(Json::as_str)
+            .ok_or_else(malformed)?;
+        s.kind = Msg::KINDS
+            .into_iter()
+            .find(|k| *k == kind)
+            .ok_or_else(|| format!("unknown message kind `{kind}`"))?;
+    }
+    if let Some(key) = phase.arg_name() {
+        s.arg = if phase == SpanPhase::Failure {
+            row.get(key).and_then(Json::as_bool).map(u64::from)
+        } else {
+            row.get(key).and_then(Json::as_u64)
+        }
+        .ok_or_else(malformed)?;
+    }
+    Ok(s)
 }
 
-/// Renders causal span records as JSON Lines: a `meta` header carrying
-/// [`SCHEMA_VERSION`], then one compact object per span ([`span_json`]).
+/// Renders trace records as JSON Lines: a `meta` header carrying
+/// [`SCHEMA_VERSION`], then one compact object per record ([`span_json`]).
 /// This is the input format of `ftcoma trace summarize`.
 pub fn spans_jsonl(spans: &[SpanRecord]) -> String {
     let mut out = String::new();
@@ -494,28 +457,21 @@ pub fn timeseries_jsonl(rows: &[TsSample]) -> String {
 /// The `tid` of the synthetic "network" track carrying per-hop spans.
 const NET_TID: u64 = 1_000_000;
 
-/// Converts a trace into the Chrome trace-event format (the JSON object
-/// form, `{"traceEvents": [...]}`), viewable in Perfetto or
-/// `chrome://tracing`. Equivalent to [`chrome_trace_with_spans`] with no
-/// spans.
+/// Converts trace records into the Chrome trace-event format (the JSON
+/// object form, `{"traceEvents": [...]}`), viewable in Perfetto or
+/// `chrome://tracing`.
 ///
 /// Track layout: one process (`pid` 0) with `tid` 0 as the machine-wide
-/// coordinator track and `tid` *n*+1 as node *n*'s track. Timestamps are
-/// microseconds of simulated time (`cycles / clock_hz * 1e6`). Create and
-/// recovery phases become complete (`"X"`) spans by pairing their begin /
-/// end events; per-node commit and rollback scans become `"X"` spans on
-/// the node tracks; deliveries, failures and repairs are instants (`"i"`).
-pub fn chrome_trace(events: &[TraceEvent], clock_hz: f64) -> Json {
-    chrome_trace_with_spans(events, &[], clock_hz)
-}
-
-/// [`chrome_trace`] plus causal span records: each span becomes a complete
-/// (`"X"`) slice — roots on their node's track, network hops on a synthetic
-/// "network" track — and every root span additionally emits a flow
-/// (`"s"`/`"t"`/`"f"` rows sharing the span id), so Perfetto draws
-/// end-to-end arrows from a transaction's start through each leg to its
-/// completion (and likewise across a recovery's phases).
-pub fn chrome_trace_with_spans(events: &[TraceEvent], spans: &[SpanRecord], clock_hz: f64) -> Json {
+/// track (create windows), `tid` *n*+1 as node *n*'s track and a synthetic
+/// "network" track for per-hop spans. Timestamps are microseconds of
+/// simulated time (`cycles / clock_hz * 1e6`). Each span becomes a
+/// complete (`"X"`) slice and each instant an `"i"` row named after its
+/// message kind (deliveries) or its phase. Every root span additionally
+/// emits a flow (`"s"`/`"t"`/`"f"` rows sharing the span id), so Perfetto
+/// draws arrows from a transaction's start through each leg to its
+/// completion (and likewise across a recovery's phases and a checkpoint's
+/// commit scans).
+pub fn chrome_trace_with_spans(spans: &[SpanRecord], clock_hz: f64) -> Json {
     let us = |c: Cycles| c as f64 * 1e6 / clock_hz;
     let mut rows: Vec<Json> = Vec::new();
     let mut tids_seen: Vec<u64> = Vec::new();
@@ -547,162 +503,41 @@ pub fn chrome_trace_with_spans(events: &[TraceEvent], spans: &[SpanRecord], cloc
         ])
     };
 
-    // Open create/recovery spans are closed by their matching end events;
-    // a begin whose end fell outside the ring buffer degrades to nothing,
-    // an end without a begin degrades to an instant.
-    let mut open_create: Option<(f64, u64)> = None;
-    let mut open_recovery: Option<f64> = None;
-    for e in events {
-        match e {
-            TraceEvent::Delivery { at, to, kind, item } => {
-                let tid = to.index() as u64 + 1;
-                note_tid(tid, &mut tids_seen);
-                rows.push(instant(
-                    kind,
-                    us(*at),
-                    tid,
-                    Json::obj([("item", Json::from(item.index()))]),
-                ));
-            }
-            TraceEvent::CheckpointBegun { at, gen } => {
-                open_create = Some((us(*at), *gen));
-            }
-            TraceEvent::CheckpointCommitted { at, gen } => {
-                note_tid(0, &mut tids_seen);
-                let args = Json::obj([("gen", Json::from(*gen))]);
-                match open_create.take() {
-                    Some((ts, g)) if g == *gen => {
-                        rows.push(complete("checkpoint create", ts, us(*at) - ts, 0, args));
-                    }
-                    _ => rows.push(instant("checkpoint committed", us(*at), 0, args)),
-                }
-            }
-            TraceEvent::NodeCommit { at, node, dur } => {
-                let tid = node.index() as u64 + 1;
-                note_tid(tid, &mut tids_seen);
-                rows.push(complete(
-                    "commit scan",
-                    us(*at),
-                    us(*dur),
-                    tid,
-                    Json::Obj(Vec::new()),
-                ));
-            }
-            TraceEvent::NodeRollback { at, node, dur } => {
-                let tid = node.index() as u64 + 1;
-                note_tid(tid, &mut tids_seen);
-                rows.push(complete(
-                    "rollback scan",
-                    us(*at),
-                    us(*dur),
-                    tid,
-                    Json::Obj(Vec::new()),
-                ));
-            }
-            TraceEvent::LinkCut { at, a, b } => {
-                note_tid(0, &mut tids_seen);
-                rows.push(instant(
-                    "link cut",
-                    us(*at),
-                    0,
-                    Json::obj([("a", Json::from(a.index())), ("b", Json::from(b.index()))]),
-                ));
-            }
-            TraceEvent::RouterDown { at, node } => {
-                let tid = node.index() as u64 + 1;
-                note_tid(tid, &mut tids_seen);
-                rows.push(instant("router down", us(*at), tid, Json::Obj(Vec::new())));
-            }
-            TraceEvent::Failure {
-                at,
-                node,
-                permanent,
-            } => {
-                note_tid(0, &mut tids_seen);
-                // A failure with a recovery window still open is a nested
-                // fault: the in-flight recovery is abandoned here and the
-                // follow-up `RecoveryRestarted` event opens a fresh window.
-                if let Some(ts) = open_recovery.take() {
-                    rows.push(complete(
-                        "recovery (abandoned)",
-                        ts,
-                        us(*at) - ts,
-                        0,
-                        Json::Obj(Vec::new()),
-                    ));
-                }
-                open_recovery = Some(us(*at));
-                rows.push(instant(
-                    "failure",
-                    us(*at),
-                    0,
-                    Json::obj([
-                        ("node", Json::from(node.index())),
-                        ("permanent", Json::from(*permanent)),
-                    ]),
-                ));
-            }
-            TraceEvent::RecoveryRestarted { at, node, depth } => {
-                note_tid(0, &mut tids_seen);
-                rows.push(instant(
-                    "recovery restarted",
-                    us(*at),
-                    0,
-                    Json::obj([
-                        ("node", Json::from(node.index())),
-                        ("depth", Json::from(*depth)),
-                    ]),
-                ));
-            }
-            TraceEvent::Recovered { at } => {
-                note_tid(0, &mut tids_seen);
-                match open_recovery.take() {
-                    Some(ts) => rows.push(complete(
-                        "recovery",
-                        ts,
-                        us(*at) - ts,
-                        0,
-                        Json::Obj(Vec::new()),
-                    )),
-                    None => rows.push(instant("recovered", us(*at), 0, Json::Obj(Vec::new()))),
-                }
-            }
-            TraceEvent::Repaired { at, node } => {
-                let tid = node.index() as u64 + 1;
-                note_tid(tid, &mut tids_seen);
-                rows.push(instant("repaired", us(*at), tid, Json::Obj(Vec::new())));
-            }
-            TraceEvent::LinkRepaired { at, a, b } => {
-                note_tid(0, &mut tids_seen);
-                rows.push(instant(
-                    "link repaired",
-                    us(*at),
-                    0,
-                    Json::obj([("a", Json::from(a.index())), ("b", Json::from(b.index()))]),
-                ));
-            }
-        }
-    }
-
-    // Causal spans: one complete slice per record, plus a flow per root
-    // span so viewers draw arrows across the decomposition.
-    let span_tid = |s: &SpanRecord| {
-        if s.phase == SpanPhase::NetHop {
-            NET_TID
-        } else {
-            s.node as u64 + 1
-        }
+    // One slice or instant per record, plus a flow per root span so
+    // viewers draw arrows across the decomposition.
+    let span_tid = |s: &SpanRecord| match s.phase {
+        SpanPhase::NetHop => NET_TID,
+        SpanPhase::Create => 0,
+        _ => s.node as u64 + 1,
     };
+    let mut children: FxHashMap<SpanId, Vec<&SpanRecord>> = FxHashMap::default();
     for s in spans {
         let tid = span_tid(s);
         note_tid(tid, &mut tids_seen);
-        rows.push(complete(
-            s.phase.name(),
-            us(s.start),
-            us(s.end - s.start),
-            tid,
-            Json::obj([("span", Json::from(s.id)), ("parent", Json::from(s.parent))]),
-        ));
+        let mut args = vec![
+            ("span".to_string(), Json::from(s.id)),
+            ("parent".to_string(), Json::from(s.parent)),
+        ];
+        args.extend(span_detail(s));
+        if s.phase.is_instant() {
+            let name = match s.phase {
+                SpanPhase::Delivery => s.kind.to_string(),
+                _ => s.phase.name().replace('_', " "),
+            };
+            rows.push(instant(&name, us(s.start), tid, Json::Obj(args)));
+        } else {
+            let dur = us(s.end - s.start);
+            rows.push(complete(
+                s.phase.name(),
+                us(s.start),
+                dur,
+                tid,
+                Json::Obj(args),
+            ));
+        }
+        if s.parent != 0 {
+            children.entry(s.parent).or_default().push(s);
+        }
     }
     let flow = |ph: &str, name: &str, id: u64, ts: f64, tid: u64| {
         let mut pairs = vec![
@@ -720,11 +555,14 @@ pub fn chrome_trace_with_spans(events: &[TraceEvent], spans: &[SpanRecord], cloc
         }
         Json::Obj(pairs)
     };
-    for root in spans.iter().filter(|s| s.parent == 0) {
+    for root in spans
+        .iter()
+        .filter(|s| s.parent == 0 && !s.phase.is_instant())
+    {
         let name = root.phase.name();
         let root_tid = span_tid(root);
         rows.push(flow("s", name, root.id, us(root.start), root_tid));
-        for child in spans.iter().filter(|c| c.parent == root.id) {
+        for child in children.get(&root.id).into_iter().flatten() {
             rows.push(flow("t", name, root.id, us(child.end), span_tid(child)));
         }
         rows.push(flow("f", name, root.id, us(root.end), root_tid));
@@ -770,7 +608,6 @@ pub fn chrome_trace_with_spans(events: &[TraceEvent], spans: &[SpanRecord], cloc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftcoma_mem::{ItemId, NodeId};
 
     fn sample_metrics() -> RunMetrics {
         let mut m = RunMetrics {
@@ -832,32 +669,45 @@ mod tests {
         );
     }
 
-    #[test]
-    fn registry_covers_machine_and_node_series() {
-        let reg = registry_from(&sample_metrics());
-        assert_eq!(reg.counter("refs_total", &[]), Some(5_000));
-        assert_eq!(reg.counter("refs_total", &[("node", "1")]), Some(2_500));
-        assert!(reg.gauge("access_latency_p99", &[]).is_some());
+    fn sample_spans() -> Vec<SpanRecord> {
+        vec![
+            SpanRecord::new(1, 0, SpanPhase::Transaction, 0, 100, 300),
+            SpanRecord::new(2, 1, SpanPhase::DirLookup, 1, 100, 180),
+            SpanRecord::new(3, 1, SpanPhase::NetHop, 1, 105, 120),
+            SpanRecord::new(4, 1, SpanPhase::DataReply, 0, 180, 300),
+        ]
+    }
+
+    /// One record of every phase, instants included, with the detail
+    /// each phase carries.
+    fn every_phase() -> Vec<SpanRecord> {
+        ftcoma_sim::span::ALL_PHASES
+            .into_iter()
+            .enumerate()
+            .map(|(i, phase)| {
+                let (start, end) = if phase.is_instant() {
+                    (50, 50)
+                } else {
+                    (40, 90)
+                };
+                let mut s = SpanRecord::new(i as u64 + 1, 0, phase, 3, start, end);
+                if phase == SpanPhase::Delivery {
+                    s.kind = "InvalCk";
+                }
+                if phase.arg_name().is_some() {
+                    s.arg = if phase == SpanPhase::Failure { 1 } else { 7 };
+                }
+                s
+            })
+            .collect()
     }
 
     #[test]
-    fn trace_jsonl_is_one_object_per_line() {
-        let events = vec![
-            TraceEvent::Delivery {
-                at: 5,
-                to: NodeId::new(1),
-                kind: "ReadReq",
-                item: ItemId::new(7),
-            },
-            TraceEvent::CheckpointCommitted { at: 9, gen: 1 },
-        ];
-        let text = trace_jsonl(&events);
+    fn span_rows_round_trip_every_phase() {
+        let records = every_phase();
+        let text = spans_jsonl(&records);
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3); // meta header + 2 events
-        for line in &lines {
-            let obj = Json::parse(line).unwrap();
-            assert!(obj.get("type").is_some());
-        }
+        assert_eq!(lines.len(), records.len() + 1); // meta header + one row each
         assert_eq!(
             Json::parse(lines[0])
                 .unwrap()
@@ -865,101 +715,102 @@ mod tests {
                 .and_then(|v| v.as_u64()),
             Some(SCHEMA_VERSION)
         );
+        for (line, want) in lines[1..].iter().zip(&records) {
+            let row = Json::parse(line).unwrap();
+            assert_eq!(span_from_json(&row), Ok(*want), "{line}");
+        }
+        let delivery = Json::parse(lines[13]).unwrap();
         assert_eq!(
-            Json::parse(lines[1])
-                .unwrap()
-                .get("to")
-                .and_then(|v| v.as_u64()),
-            Some(1)
+            delivery.get("kind").and_then(|v| v.as_str()),
+            Some("InvalCk")
+        );
+        assert_eq!(delivery.get("item").and_then(|v| v.as_u64()), Some(7));
+        let failure = Json::parse(lines[14]).unwrap();
+        assert_eq!(
+            failure.get("permanent").and_then(|v| v.as_bool()),
+            Some(true)
+        );
+        // Phases without detail keep the six base keys only.
+        let Json::Obj(txn) = Json::parse(lines[1]).unwrap() else {
+            panic!("span rows are objects");
+        };
+        assert_eq!(txn.len(), 6);
+    }
+
+    #[test]
+    fn span_rows_that_end_before_they_start_are_rejected() {
+        let row =
+            Json::parse(r#"{"id":1,"parent":0,"phase":"transaction","node":0,"start":10,"end":5}"#)
+                .unwrap();
+        let err = span_from_json(&row).unwrap_err();
+        assert!(err.contains("before it starts"), "{err}");
+        let unknown = Json::parse(
+            r#"{"id":1,"parent":0,"phase":"delivery","node":0,"start":5,"end":5,"kind":"Bogus","item":1}"#,
+        )
+        .unwrap();
+        assert!(span_from_json(&unknown).is_err());
+        let missing =
+            Json::parse(r#"{"id":1,"parent":0,"phase":"create","node":0,"start":5,"end":9}"#)
+                .unwrap();
+        assert_eq!(
+            span_from_json(&missing),
+            Err("malformed span row".to_string())
         );
     }
 
     #[test]
-    fn chrome_trace_pairs_phase_spans() {
-        let events = vec![
-            TraceEvent::CheckpointBegun { at: 100, gen: 1 },
-            TraceEvent::NodeCommit {
-                at: 140,
-                node: NodeId::new(0),
-                dur: 20,
-            },
-            TraceEvent::CheckpointCommitted { at: 140, gen: 1 },
-            TraceEvent::Failure {
-                at: 500,
-                node: NodeId::new(1),
-                permanent: false,
-            },
-            TraceEvent::Recovered { at: 900 },
+    fn chrome_trace_renders_instants_and_checkpoint_spans() {
+        let mut create = SpanRecord::new(1, 0, SpanPhase::Create, 0, 100, 140);
+        create.arg = 1;
+        let mut delivery = SpanRecord::new(3, 0, SpanPhase::Delivery, 1, 120, 120);
+        delivery.kind = "ReadReq";
+        delivery.arg = 9;
+        let mut cut = SpanRecord::new(4, 0, SpanPhase::LinkCut, 0, 130, 130);
+        cut.arg = 1;
+        let records = vec![
+            create,
+            SpanRecord::new(2, 1, SpanPhase::Commit, 0, 140, 160),
+            delivery,
+            cut,
         ];
-        let doc = chrome_trace(&events, 20_000_000.0);
+        let doc = chrome_trace_with_spans(&records, 20_000_000.0);
         let rows = doc.get("traceEvents").unwrap().as_array().unwrap();
-        // Every row has the mandatory keys.
         for r in rows {
             assert!(r.get("ph").is_some() && r.get("pid").is_some());
         }
-        let spans: Vec<_> = rows
+        let named = |name: &str| {
+            rows.iter()
+                .find(|r| r.get("name").and_then(|v| v.as_str()) == Some(name))
+                .unwrap_or_else(|| panic!("no row named {name}"))
+        };
+        // 100 cycles at 20 MHz = 5 µs; the create window sits on the
+        // machine track, the commit scan on its node's.
+        let c = named("create");
+        assert_eq!(c.get("ph").and_then(|v| v.as_str()), Some("X"));
+        assert_eq!(c.get("ts").and_then(|v| v.as_f64()), Some(5.0));
+        assert_eq!(c.get("dur").and_then(|v| v.as_f64()), Some(2.0));
+        assert_eq!(c.get("tid").and_then(|v| v.as_u64()), Some(0));
+        assert_eq!(named("commit").get("tid").and_then(|v| v.as_u64()), Some(1));
+        // Instants are named after the message kind or the phase.
+        let d = named("ReadReq");
+        assert_eq!(d.get("ph").and_then(|v| v.as_str()), Some("i"));
+        assert_eq!(d.get("tid").and_then(|v| v.as_u64()), Some(2));
+        assert_eq!(
+            d.get("args")
+                .and_then(|a| a.get("item"))
+                .and_then(|v| v.as_u64()),
+            Some(9)
+        );
+        assert_eq!(
+            named("link cut").get("ph").and_then(|v| v.as_str()),
+            Some("i")
+        );
+        // Only the create root draws a flow: start, one step, finish.
+        let flows = rows
             .iter()
-            .filter(|r| r.get("ph").and_then(|v| v.as_str()) == Some("X"))
-            .collect();
-        let names: Vec<_> = spans
-            .iter()
-            .map(|r| r.get("name").and_then(|v| v.as_str()).unwrap())
-            .collect();
-        assert!(names.contains(&"checkpoint create"));
-        assert!(names.contains(&"commit scan"));
-        assert!(names.contains(&"recovery"));
-        // 100 cycles at 20 MHz = 5 µs.
-        let create = spans
-            .iter()
-            .find(|r| r.get("name").and_then(|v| v.as_str()) == Some("checkpoint create"))
-            .unwrap();
-        assert_eq!(create.get("ts").and_then(|v| v.as_f64()), Some(5.0));
-        assert_eq!(create.get("dur").and_then(|v| v.as_f64()), Some(2.0));
-        // Metadata names both tracks.
-        assert!(rows.iter().any(|r| {
-            r.get("ph").and_then(|v| v.as_str()) == Some("M")
-                && r.get("args")
-                    .and_then(|a| a.get("name"))
-                    .and_then(|v| v.as_str())
-                    == Some("node 0")
-        }));
-    }
-
-    fn sample_spans() -> Vec<SpanRecord> {
-        vec![
-            SpanRecord {
-                id: 1,
-                parent: 0,
-                phase: SpanPhase::Transaction,
-                node: 0,
-                start: 100,
-                end: 300,
-            },
-            SpanRecord {
-                id: 2,
-                parent: 1,
-                phase: SpanPhase::DirLookup,
-                node: 1,
-                start: 100,
-                end: 180,
-            },
-            SpanRecord {
-                id: 3,
-                parent: 1,
-                phase: SpanPhase::NetHop,
-                node: 1,
-                start: 105,
-                end: 120,
-            },
-            SpanRecord {
-                id: 4,
-                parent: 1,
-                phase: SpanPhase::DataReply,
-                node: 0,
-                start: 180,
-                end: 300,
-            },
-        ]
+            .filter(|r| matches!(r.get("ph").and_then(|v| v.as_str()), Some("s" | "t" | "f")))
+            .count();
+        assert_eq!(flows, 3);
     }
 
     #[test]
@@ -1066,7 +917,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_with_spans_emits_slices_and_flows() {
-        let doc = chrome_trace_with_spans(&[], &sample_spans(), 20_000_000.0);
+        let doc = chrome_trace_with_spans(&sample_spans(), 20_000_000.0);
         let rows = doc.get("traceEvents").unwrap().as_array().unwrap();
         let slices: Vec<_> = rows
             .iter()
@@ -1101,17 +952,6 @@ mod tests {
                     .and_then(|a| a.get("name"))
                     .and_then(|v| v.as_str())
                     == Some("network")
-        }));
-    }
-
-    #[test]
-    fn chrome_trace_unpaired_end_degrades_to_instant() {
-        let events = vec![TraceEvent::CheckpointCommitted { at: 200, gen: 3 }];
-        let doc = chrome_trace(&events, 20_000_000.0);
-        let rows = doc.get("traceEvents").unwrap().as_array().unwrap();
-        assert!(rows.iter().any(|r| {
-            r.get("ph").and_then(|v| v.as_str()) == Some("i")
-                && r.get("name").and_then(|v| v.as_str()) == Some("checkpoint committed")
         }));
     }
 }

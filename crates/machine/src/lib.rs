@@ -29,9 +29,9 @@
 //! ```
 //!
 //! The same configuration with [`FtConfig::disabled`] is the paper's
-//! baseline; the harness in `ftcoma-bench` runs both with identical seeds
-//! and decomposes the difference into `T_create`, `T_commit` and
-//! `T_pollution` exactly as Fig. 3 does.
+//! baseline; run both with identical seeds and
+//! [`RunMetrics::decomposition`] splits the difference into `T_create`,
+//! `T_commit` and `T_pollution` exactly as Fig. 3 does.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,10 +42,9 @@ pub mod faultproc;
 pub mod machine;
 pub mod metrics;
 pub mod probe;
-pub mod tracelog;
 
 pub use config::{FailureKind, MachineConfig};
 pub use faultproc::{FaultDist, FaultProcess, FaultProcessConfig};
 pub use ftcoma_protocol::transport::RetryPolicy;
 pub use machine::{Machine, Snapshot};
-pub use metrics::{NodeMetrics, PhaseLatency, RunMetrics, TsSample};
+pub use metrics::{Decomposition, NodeMetrics, PhaseLatency, RunMetrics, TsSample};

@@ -19,7 +19,6 @@ use ftcoma_workloads::{MemRef, NodeStream, RefStream, StreamSnapshot};
 use crate::config::{FailureKind, MachineConfig};
 use crate::faultproc::{FaultAction, FaultProcess, FaultProcessConfig};
 use crate::metrics::{NodeMetrics, RunMetrics, TsSample};
-use crate::tracelog::{TraceEvent, TraceLog};
 
 #[derive(Debug, Clone)]
 enum Event {
@@ -186,10 +185,12 @@ pub struct Machine {
     in_flight: FxHashMap<(NodeId, NodeId, u64), InFlight>,
 
     committed_values: FxHashMap<ItemId, u64>,
-    trace: TraceLog,
 
-    /// Causal span sink (inert when `trace_capacity` is 0).
+    /// The trace ring: causal spans and instant protocol events (inert
+    /// when `trace_capacity` is 0).
     spans: SpanLog,
+    /// Start of the open recovery-point create window.
+    create_start: Cycles,
     /// Open root Transaction span per node (0 = none).
     open_txn: Vec<SpanId>,
     /// Open root Recovery span: `(id, failure time, failed node)`.
@@ -298,8 +299,8 @@ impl Machine {
             dedup: vec![DedupFilter::new(); n],
             in_flight: FxHashMap::default(),
             committed_values: FxHashMap::default(),
-            trace: TraceLog::new(cfg.trace_capacity),
             spans: SpanLog::new(cfg.trace_capacity),
+            create_start: 0,
             open_txn: vec![0; n],
             open_recovery: None,
             open_replay: None,
@@ -651,17 +652,50 @@ impl Machine {
         image
     }
 
-    /// The retained protocol trace (empty unless
-    /// [`MachineConfig::trace_capacity`] was set).
-    pub fn trace(&self) -> Vec<TraceEvent> {
-        self.trace.events().cloned().collect()
-    }
-
-    /// The retained causal span records, oldest first (empty unless
-    /// [`MachineConfig::trace_capacity`] was set). Spans share the trace
-    /// ring's capacity; the newest closes survive wraparound.
+    /// The retained trace records — causal spans and instant protocol
+    /// events — oldest first (empty unless
+    /// [`MachineConfig::trace_capacity`] was set). The newest records
+    /// survive wraparound. Tracing never affects simulated timing.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use ftcoma_core::FtConfig;
+    /// use ftcoma_machine::{Machine, MachineConfig};
+    /// use ftcoma_sim::span::SpanPhase;
+    /// use ftcoma_workloads::presets;
+    ///
+    /// let mut m = Machine::new(MachineConfig {
+    ///     nodes: 4,
+    ///     refs_per_node: 20_000,
+    ///     workload: presets::water(),
+    ///     ft: FtConfig::enabled(400.0),
+    ///     trace_capacity: 200_000,
+    ///     ..MachineConfig::default()
+    /// });
+    /// m.run();
+    /// let trace = m.spans();
+    /// let ckpts = trace.iter().filter(|s| s.phase == SpanPhase::Create).count();
+    /// assert!(ckpts > 0);
+    /// assert!(trace.iter().any(|s| s.phase == SpanPhase::Delivery));
+    /// ```
     pub fn spans(&self) -> Vec<SpanRecord> {
         self.spans.records()
+    }
+
+    /// Records an instant protocol event at the current time (no-op while
+    /// tracing is off).
+    fn trace_event(&mut self, phase: SpanPhase, node: NodeId, kind: &'static str, arg: u64) {
+        if self.spans.enabled() {
+            let id = self.spans.alloc_id();
+            let now = self.queue.now();
+            let node = node.index() as u16;
+            self.spans.push(SpanRecord {
+                kind,
+                arg,
+                ..SpanRecord::new(id, 0, phase, node, now, now)
+            });
+        }
     }
 
     /// The sampled time-series rows (empty unless
@@ -874,24 +908,24 @@ impl Machine {
                 .map(|(id, _, node)| (id, node))
                 .unwrap_or((0, 0));
             if let Some((id, start)) = self.open_replay.take() {
-                self.spans.push(SpanRecord {
+                self.spans.push(SpanRecord::new(
                     id,
                     parent,
-                    phase: SpanPhase::Replay,
-                    node: victim,
-                    start: start.min(now),
-                    end: now,
-                });
+                    SpanPhase::Replay,
+                    victim,
+                    start.min(now),
+                    now,
+                ));
             }
             if let Some((id, start, node)) = self.open_recovery.take() {
-                self.spans.push(SpanRecord {
+                self.spans.push(SpanRecord::new(
                     id,
-                    parent: 0,
-                    phase: SpanPhase::Recovery,
+                    0,
+                    SpanPhase::Recovery,
                     node,
                     start,
-                    end: now,
-                });
+                    now,
+                ));
             }
         }
     }
@@ -902,14 +936,14 @@ impl Machine {
         for i in 0..self.open_txn.len() {
             let id = std::mem::take(&mut self.open_txn[i]);
             if id != 0 {
-                self.spans.push(SpanRecord {
+                self.spans.push(SpanRecord::new(
                     id,
-                    parent: 0,
-                    phase: SpanPhase::Transaction,
-                    node: i as u16,
-                    start: self.stall_start[i],
+                    0,
+                    SpanPhase::Transaction,
+                    i as u16,
+                    self.stall_start[i],
                     end,
-                });
+                ));
             }
         }
     }
@@ -939,14 +973,14 @@ impl Machine {
                     TxnLeg::DataReply => SpanPhase::DataReply,
                 };
                 let id = self.spans.alloc_id();
-                self.spans.push(SpanRecord {
+                self.spans.push(SpanRecord::new(
                     id,
                     parent,
                     phase,
-                    node: to.index() as u16,
-                    start: sent,
-                    end: now,
-                });
+                    to.index() as u16,
+                    sent,
+                    now,
+                ));
             }
         }
     }
@@ -965,14 +999,14 @@ impl Machine {
         let hops: Vec<ftcoma_net::HopSegment> = self.mesh.last_hops().to_vec();
         for h in hops {
             let id = self.spans.alloc_id();
-            self.spans.push(SpanRecord {
+            self.spans.push(SpanRecord::new(
                 id,
                 parent,
-                phase: SpanPhase::NetHop,
-                node: to.index() as u16,
-                start: h.start,
-                end: h.end,
-            });
+                SpanPhase::NetHop,
+                to.index() as u16,
+                h.start,
+                h.end,
+            ));
         }
     }
 
@@ -990,18 +1024,11 @@ impl Machine {
             }
             Event::NetRetry { src, dst, seq } => self.on_net_retry(src, dst, seq),
             Event::LinkCut { a, b } => {
-                self.trace.push(TraceEvent::LinkCut {
-                    at: self.queue.now(),
-                    a,
-                    b,
-                });
+                self.trace_event(SpanPhase::LinkCut, a, "", b.index() as u64);
                 self.mesh.fail_link(a, b);
             }
             Event::RouterDown { node } => {
-                self.trace.push(TraceEvent::RouterDown {
-                    at: self.queue.now(),
-                    node,
-                });
+                self.trace_event(SpanPhase::RouterDown, node, "", 0);
                 self.mesh.fail_router(node);
             }
             Event::FaultTick => self.on_fault_tick(),
@@ -1199,14 +1226,7 @@ impl Machine {
         if !self.nodes[to.index()].alive {
             return; // fail-silent node swallows the message
         }
-        if self.trace.enabled() {
-            self.trace.push(TraceEvent::Delivery {
-                at: self.queue.now(),
-                to,
-                kind: msg.kind(),
-                item: msg.item(),
-            });
-        }
+        self.trace_event(SpanPhase::Delivery, to, msg.kind(), msg.item().index());
         self.record_leg(to, &msg, sent);
         let mut ctx = Ctx::new(&self.ring, self.queue.now());
         self.engine
@@ -1227,14 +1247,14 @@ impl Machine {
         if self.spans.enabled() {
             let id = std::mem::take(&mut self.open_txn[i]);
             if id != 0 {
-                self.spans.push(SpanRecord {
+                self.spans.push(SpanRecord::new(
                     id,
-                    parent: 0,
-                    phase: SpanPhase::Transaction,
-                    node: i as u16,
-                    start: self.stall_start[i],
-                    end: self.queue.now(),
-                });
+                    0,
+                    SpanPhase::Transaction,
+                    i as u16,
+                    self.stall_start[i],
+                    self.queue.now(),
+                ));
             }
         }
         if self.phase == Phase::Running {
@@ -1285,10 +1305,7 @@ impl Machine {
         }
         self.phase = Phase::Create;
         self.create_done = 0;
-        self.trace.push(TraceEvent::CheckpointBegun {
-            at: self.queue.now(),
-            gen: self.gen + 1,
-        });
+        self.create_start = self.queue.now();
         for i in 0..self.nodes.len() {
             if !self.nodes[i].alive {
                 continue;
@@ -1323,31 +1340,39 @@ impl Machine {
         if self.spans.enabled() {
             if let Some((root, rstart, victim)) = self.open_recovery.take() {
                 if let Some((id, start)) = self.open_replay.take() {
-                    self.spans.push(SpanRecord {
+                    self.spans.push(SpanRecord::new(
                         id,
-                        parent: root,
-                        phase: SpanPhase::Replay,
-                        node: victim,
-                        start: start.min(commit_start),
-                        end: commit_start,
-                    });
+                        root,
+                        SpanPhase::Replay,
+                        victim,
+                        start.min(commit_start),
+                        commit_start,
+                    ));
                 }
-                self.spans.push(SpanRecord {
-                    id: root,
-                    parent: 0,
-                    phase: SpanPhase::Recovery,
-                    node: victim,
-                    start: rstart,
-                    end: commit_start,
-                });
+                self.spans.push(SpanRecord::new(
+                    root,
+                    0,
+                    SpanPhase::Recovery,
+                    victim,
+                    rstart,
+                    commit_start,
+                ));
             }
         }
         self.metrics.t_create += commit_start - self.ckpt_start;
         self.gen += 1;
         self.metrics.checkpoints += 1;
-        self.trace.push(TraceEvent::CheckpointCommitted {
-            at: commit_start,
-            gen: self.gen,
+        let create = self.spans.alloc_id();
+        self.spans.push(SpanRecord {
+            arg: self.gen,
+            ..SpanRecord::new(
+                create,
+                0,
+                SpanPhase::Create,
+                0,
+                self.create_start,
+                commit_start,
+            )
         });
 
         let mut max_dur = 0;
@@ -1357,13 +1382,16 @@ impl Machine {
             }
             let stats = ckpt::commit_node(&mut self.nodes[i], &self.cfg.ft, self.engine.timing());
             max_dur = max_dur.max(stats.duration);
-            if self.trace.enabled() {
-                self.trace.push(TraceEvent::NodeCommit {
-                    at: commit_start,
-                    node: self.nodes[i].id,
-                    dur: stats.duration,
-                });
-            }
+            let id = self.spans.alloc_id();
+            let end = commit_start + stats.duration;
+            self.spans.push(SpanRecord::new(
+                id,
+                create,
+                SpanPhase::Commit,
+                i as u16,
+                commit_start,
+                end,
+            ));
             if self.proc[i] == ProcState::Paused {
                 // This processor was stopped from the establishment start
                 // until its own commit scan finished.
@@ -1449,11 +1477,11 @@ impl Machine {
                 }
                 FaultAction::RepairNode(node) => self.on_repair_request(node),
                 FaultAction::CutLink(a, b) => {
-                    self.trace.push(TraceEvent::LinkCut { at: now, a, b });
+                    self.trace_event(SpanPhase::LinkCut, a, "", b.index() as u64);
                     self.mesh.fail_link(a, b);
                 }
                 FaultAction::RepairLink(a, b) => {
-                    self.trace.push(TraceEvent::LinkRepaired { at: now, a, b });
+                    self.trace_event(SpanPhase::LinkRepaired, a, "", b.index() as u64);
                     self.mesh.repair_link(a, b);
                 }
             }
@@ -1585,10 +1613,7 @@ impl Machine {
             self.metrics.per_node[i].down_cycles += self.queue.now() - from;
             self.metrics.down_intervals[i].push((from, self.queue.now()));
         }
-        self.trace.push(TraceEvent::Repaired {
-            at: self.queue.now(),
-            node,
-        });
+        self.trace_event(SpanPhase::Repaired, node, "", 0);
 
         self.phase = Phase::Running;
         for k in 0..self.nodes.len() {
@@ -1630,17 +1655,11 @@ impl Machine {
         self.episode_faults += 1;
         self.metrics.recovery_max_depth = self.metrics.recovery_max_depth.max(self.episode_faults);
         self.recovery_start = self.queue.now();
-        self.trace.push(TraceEvent::Failure {
-            at: self.queue.now(),
-            node,
-            permanent: kind == FailureKind::Permanent,
-        });
+        let permanent = kind == FailureKind::Permanent;
+        self.trace_event(SpanPhase::Failure, node, "", u64::from(permanent));
         if was_recovering {
-            self.trace.push(TraceEvent::RecoveryRestarted {
-                at: self.queue.now(),
-                node,
-                depth: self.episode_faults,
-            });
+            let depth = self.episode_faults;
+            self.trace_event(SpanPhase::RecoveryRestarted, node, "", depth);
         }
         // A failure inside a replay window ends that window early. The
         // window can open in the *future* (a recovery end pushed past the
@@ -1666,35 +1685,35 @@ impl Machine {
             // Close a stale recovery tree (failure during a replay window).
             if let Some((rid, rstart, victim)) = self.open_recovery.take() {
                 if let Some((id, start)) = self.open_replay.take() {
-                    self.spans.push(SpanRecord {
+                    self.spans.push(SpanRecord::new(
                         id,
-                        parent: rid,
-                        phase: SpanPhase::Replay,
-                        node: victim,
-                        start: start.min(now),
-                        end: now,
-                    });
+                        rid,
+                        SpanPhase::Replay,
+                        victim,
+                        start.min(now),
+                        now,
+                    ));
                 }
-                self.spans.push(SpanRecord {
-                    id: rid,
-                    parent: 0,
-                    phase: SpanPhase::Recovery,
-                    node: victim,
-                    start: rstart,
-                    end: now,
-                });
+                self.spans.push(SpanRecord::new(
+                    rid,
+                    0,
+                    SpanPhase::Recovery,
+                    victim,
+                    rstart,
+                    now,
+                ));
             }
             let root = self.spans.alloc_id();
             self.open_recovery = Some((root, now, node.index() as u16));
             let det = self.spans.alloc_id();
-            self.spans.push(SpanRecord {
-                id: det,
-                parent: root,
-                phase: SpanPhase::Detection,
-                node: node.index() as u16,
-                start: now,
-                end: now,
-            });
+            self.spans.push(SpanRecord::new(
+                det,
+                root,
+                SpanPhase::Detection,
+                node.index() as u16,
+                now,
+                now,
+            ));
         }
 
         // 1. Every in-flight message and scheduled processor issue is moot
@@ -1736,7 +1755,6 @@ impl Machine {
         // 2. The failed node. A permanent loss takes its mesh router down
         //    with it, so subsequent traffic detours around the dead node
         //    instead of flowing through a ghost router.
-        let permanent = kind == FailureKind::Permanent;
         if permanent {
             self.mesh.fail_node(node);
             self.ring.mark_dead(node);
@@ -1759,24 +1777,17 @@ impl Machine {
             let id = self.nodes[i].id;
             self.metrics.per_node[i].rollback_cycles += stats.duration;
             self.metrics.phases.rollback.record(stats.duration);
-            if self.trace.enabled() {
-                self.trace.push(TraceEvent::NodeRollback {
-                    at: self.recovery_start,
-                    node: id,
-                    dur: stats.duration,
-                });
-            }
             if self.spans.enabled() {
                 if let Some((root, _, _)) = self.open_recovery {
                     let sid = self.spans.alloc_id();
-                    self.spans.push(SpanRecord {
-                        id: sid,
-                        parent: root,
-                        phase: SpanPhase::Rollback,
-                        node: i as u16,
-                        start: self.recovery_start,
-                        end: self.recovery_start + stats.duration,
-                    });
+                    self.spans.push(SpanRecord::new(
+                        sid,
+                        root,
+                        SpanPhase::Rollback,
+                        i as u16,
+                        self.recovery_start,
+                        self.recovery_start + stats.duration,
+                    ));
                 }
             }
             self.engine.reset_node(id);
@@ -1901,7 +1912,6 @@ impl Machine {
         // covers every fault folded into it.
         self.metrics.faults_survived += self.episode_faults;
         self.episode_faults = 0;
-        self.trace.push(TraceEvent::Recovered { at: end });
         // Surviving (transient) victims come back up when the machine
         // resumes; permanently failed nodes stay down until repair.
         for i in 0..self.nodes.len() {
@@ -1916,14 +1926,14 @@ impl Machine {
         if self.spans.enabled() {
             if let Some((root, _, victim)) = self.open_recovery {
                 let id = self.spans.alloc_id();
-                self.spans.push(SpanRecord {
+                self.spans.push(SpanRecord::new(
                     id,
-                    parent: root,
-                    phase: SpanPhase::Reconfiguration,
-                    node: victim,
-                    start: self.recovery_start,
+                    root,
+                    SpanPhase::Reconfiguration,
+                    victim,
+                    self.recovery_start,
                     end,
-                });
+                ));
                 let rid = self.spans.alloc_id();
                 self.open_replay = Some((rid, end));
             }
@@ -2085,14 +2095,7 @@ impl Machine {
             return; // duplicate suppressed
         }
         self.deliver_pending -= 1;
-        if self.trace.enabled() {
-            self.trace.push(TraceEvent::Delivery {
-                at: self.queue.now(),
-                to,
-                kind: msg.kind(),
-                item: msg.item(),
-            });
-        }
+        self.trace_event(SpanPhase::Delivery, to, msg.kind(), msg.item().index());
         let sent = self
             .in_flight
             .get(&(src, to, seq))
@@ -2403,6 +2406,98 @@ mod tests {
         assert!(metrics.phases.rollback.summary().count > 0);
         assert_eq!(metrics.phases.reconfiguration.summary().count, 1);
         assert_eq!(metrics.phases.replay.summary().count, 1);
+    }
+
+    /// The one trace stream carries the checkpoint and fault story of a
+    /// nested-fault run: commit scans, rollback scans, failure and restart
+    /// instants, and abandoned recoveries recognisable as such.
+    #[test]
+    fn trace_stream_records_checkpoints_faults_and_restarts() {
+        use ftcoma_sim::span::SpanPhase;
+        // 1000 rp/s: the permanent fault at 30k follows a commit, so its
+        // reconfiguration re-replicates copies and stays open long enough
+        // for the fault 50 cycles later to land inside it.
+        let nodes = 9;
+        let mut m = Machine::new(MachineConfig {
+            nodes: nodes as u16,
+            refs_per_node: 10_000,
+            workload: presets::mp3d(),
+            ft: FtConfig::enabled(1_000.0),
+            trace_capacity: 1_000_000,
+            ..small_ecp_config()
+        });
+        m.schedule_failure(30_000, NodeId::new(2), FailureKind::Permanent);
+        m.schedule_failure(30_050, NodeId::new(5), FailureKind::Transient);
+        m.schedule_failure(90_000, NodeId::new(6), FailureKind::Transient);
+        let metrics = m.run();
+        assert!(m.outcome().is_recovered(), "{}", m.outcome());
+        assert_eq!(metrics.failures, 3);
+        assert!(metrics.recovery_restarts >= 1, "the 30 050 fault must nest");
+        let trace = m.spans();
+        let of = |phase: SpanPhase| trace.iter().filter(move |s| s.phase == phase);
+        let failures: Vec<_> = of(SpanPhase::Failure).collect();
+        assert_eq!(failures.len() as u64, metrics.failures);
+        assert_eq!(
+            failures
+                .iter()
+                .map(|f| (f.start, f.node, f.arg))
+                .collect::<Vec<_>>(),
+            vec![(30_000, 2, 1), (30_050, 5, 0), (90_000, 6, 0)]
+        );
+        // Live nodes at `t`: all but the permanent victims failed by then.
+        let live_at = |t: Cycles| {
+            nodes
+                - failures
+                    .iter()
+                    .filter(|f| f.arg == 1 && f.start <= t)
+                    .count()
+        };
+
+        // One commit span per live node per checkpoint, parented to it.
+        let creates: Vec<_> = of(SpanPhase::Create).collect();
+        assert_eq!(creates.len() as u64, metrics.checkpoints);
+        assert!(creates.len() >= 2);
+        for c in &creates {
+            let commits: Vec<_> = of(SpanPhase::Commit).filter(|s| s.parent == c.id).collect();
+            assert_eq!(commits.len(), live_at(c.end), "checkpoint {}", c.arg);
+            assert!(commits.iter().all(|s| s.start == c.end));
+        }
+        assert_eq!(
+            creates.iter().map(|c| c.arg).collect::<Vec<_>>(),
+            (1..=metrics.checkpoints).collect::<Vec<_>>(),
+            "create spans carry consecutive generations"
+        );
+
+        // One rollback span per live node per fault.
+        for f in &failures {
+            let rollbacks = of(SpanPhase::Rollback)
+                .filter(|s| s.start == f.start)
+                .count();
+            assert_eq!(rollbacks, live_at(f.start), "fault at {}", f.start);
+        }
+
+        // One restart instant per restart, naming the nested victim.
+        let restarts: Vec<_> = of(SpanPhase::RecoveryRestarted).collect();
+        assert_eq!(restarts.len() as u64, metrics.recovery_restarts);
+        assert_eq!(
+            (restarts[0].start, restarts[0].node, restarts[0].arg),
+            (30_050, 5, 2)
+        );
+
+        // An abandoned recovery is a recovery root without a
+        // reconfiguration child, closed by a restart.
+        let abandoned: Vec<_> = of(SpanPhase::Recovery)
+            .filter(|r| !of(SpanPhase::Reconfiguration).any(|c| c.parent == r.id))
+            .collect();
+        assert_eq!(abandoned.len(), restarts.len());
+        for (r, x) in abandoned.iter().zip(&restarts) {
+            assert_eq!(r.end, x.start);
+        }
+        assert_eq!(
+            of(SpanPhase::Recovery).count(),
+            failures.len(),
+            "every fault opens a recovery root"
+        );
     }
 
     #[test]

@@ -532,6 +532,37 @@ impl RunMetrics {
             self.reused_replicas as f64 / self.items_checkpointed as f64
         }
     }
+
+    /// Fig. 3's decomposition of this ECP run against its standard-protocol
+    /// twin `std` (same workload, seed and length).
+    pub fn decomposition(&self, std: &RunMetrics) -> Decomposition {
+        let t_std = std.total_cycles as f64;
+        let t_ft = self.total_cycles as f64;
+        let create = self.t_create as f64;
+        let commit = self.t_commit as f64;
+        Decomposition {
+            total_overhead: t_ft / t_std - 1.0,
+            create: create / t_std,
+            commit: commit / t_std,
+            pollution: (t_ft - t_std - create - commit) / t_std,
+        }
+    }
+}
+
+/// Fig. 3's execution-time decomposition `T_ft = T_std + T_create +
+/// T_commit + T_pollution`, as fractions of the standard execution time
+/// (see [`RunMetrics::decomposition`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Decomposition {
+    /// `T_ft / T_std - 1`.
+    pub total_overhead: f64,
+    /// `T_create / T_std`.
+    pub create: f64,
+    /// `T_commit / T_std`.
+    pub commit: f64,
+    /// `T_pollution / T_std` (may be slightly negative: simulation noise
+    /// when the pollution effect is ~0).
+    pub pollution: f64,
 }
 
 #[cfg(test)]

@@ -303,6 +303,34 @@ impl Msg {
         }
     }
 
+    /// Every name [`Msg::kind`] returns, so a parsed trace can recover the
+    /// `&'static str` of a delivery record.
+    pub const KINDS: [&'static str; 23] = [
+        "ReadReq",
+        "WriteReq",
+        "ReadFwd",
+        "WriteFwd",
+        "DataShared",
+        "DataExclusive",
+        "InitGrant",
+        "Inval",
+        "InvalCk",
+        "InvalAck",
+        "TxnDone",
+        "OwnerUpdate",
+        "InjectLock",
+        "InjectLockGrant",
+        "InjectLockRelease",
+        "InjectReq",
+        "InjectAccept",
+        "InjectData",
+        "InjectDone",
+        "PartnerUpdate",
+        "PartnerUpdateAck",
+        "PreCommitMark",
+        "PreCommitMarkAck",
+    ];
+
     /// Short stable name of the message kind (tracing and diagnostics).
     pub fn kind(&self) -> &'static str {
         match self {

@@ -11,10 +11,11 @@
 //! * [`Clock`] — cycle/wall-clock conversions for the 20 MHz machine;
 //! * [`rng`] — seeded, splittable random-number generation so that every
 //!   simulation run is exactly reproducible;
-//! * [`stats`] — counters, ratios and running statistics used by the
-//!   metrics collection in `ftcoma-machine`;
-//! * [`span`] — causal span records (typed phases, parent links) for the
-//!   transaction- and recovery-time decompositions.
+//! * [`stats`] — log₂-bucketed latency histograms and their percentile
+//!   summaries, used by the metrics collection in `ftcoma-machine`;
+//! * [`span`] — the trace ring: causal span records (typed phases, parent
+//!   links) for the transaction-, checkpoint- and recovery-time
+//!   decompositions, plus instant protocol events.
 //!
 //! # Example
 //!
@@ -38,7 +39,6 @@
 pub mod fxhash;
 pub mod json;
 pub mod queue;
-pub mod registry;
 pub mod rng;
 pub mod span;
 pub mod stats;
@@ -46,7 +46,6 @@ pub mod stats;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use json::Json;
 pub use queue::EventQueue;
-pub use registry::MetricsRegistry;
 pub use rng::{derive_seed, DetRng};
 
 /// Simulation time, measured in processor clock cycles.

@@ -2,18 +2,21 @@
 //!
 //! The paper's central measurements are *time decompositions* — where a
 //! reference's latency goes (directory lookup, home forwarding, data
-//! reply, network hops) and where recovery time goes after a fault
+//! reply, network hops), where checkpoint cost goes (create window,
+//! per-node commit scans) and where recovery time goes after a fault
 //! (detection, reconfiguration, rollback, re-execution). A [`SpanRecord`]
 //! is one measured interval of such a phase; records link to a parent
 //! span, so a remote miss becomes a small causal tree rooted at its
 //! transaction span and a recovery becomes a tree rooted at the recovery
-//! span.
+//! span. Protocol events — deliveries, failures, link and router faults,
+//! recovery restarts, repairs — are *instants*: records of an instant
+//! phase with `start == end`.
 //!
-//! Collection follows the same discipline as the machine's trace ring:
-//! a [`SpanLog`] with capacity 0 is a no-op sink (the zero-cost-when-
-//! disabled invariant), a bounded one retains the **newest** closed spans
-//! and evicts the oldest. Records are pushed when a span *closes*, so
-//! eviction can never drop the most recent span-close events.
+//! A [`SpanLog`] is the machine's one trace sink. With capacity 0 it is a
+//! no-op (the zero-cost-when-disabled invariant); a bounded one retains
+//! the **newest** records and evicts the oldest. Spans are pushed when
+//! they *close* and instants when they happen, so eviction can never drop
+//! the most recent records of either kind.
 //!
 //! # Example
 //!
@@ -23,12 +26,13 @@
 //! let mut log = SpanLog::new(16);
 //! let txn = log.alloc_id();
 //! let leg = log.alloc_id();
-//! log.push(SpanRecord { id: leg, parent: txn, phase: SpanPhase::DirLookup,
-//!                       node: 3, start: 100, end: 130 });
-//! log.push(SpanRecord { id: txn, parent: 0, phase: SpanPhase::Transaction,
-//!                       node: 0, start: 100, end: 216 });
-//! assert_eq!(log.records().len(), 2);
+//! log.push(SpanRecord::new(leg, txn, SpanPhase::DirLookup, 3, 100, 130));
+//! log.push(SpanRecord::new(txn, 0, SpanPhase::Transaction, 0, 100, 216));
+//! let fail = log.alloc_id();
+//! log.push(SpanRecord { arg: 1, ..SpanRecord::new(fail, 0, SpanPhase::Failure, 2, 300, 300) });
+//! assert_eq!(log.records().len(), 3);
 //! assert_eq!(log.records()[1].duration(), 116);
+//! assert!(log.records()[2].phase.is_instant());
 //! ```
 
 use std::collections::VecDeque;
@@ -42,7 +46,9 @@ pub type SpanId = u64;
 /// The typed phase a span measures.
 ///
 /// The first group decomposes a memory transaction (a reference that
-/// missed and stalled its processor); the second decomposes a recovery.
+/// missed and stalled its processor); the second decomposes a recovery;
+/// the third measures recovery-point establishment; the last group are
+/// instant phases (protocol events, `start == end`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SpanPhase {
     /// Root span of one stalled memory reference: processor stall to
@@ -68,7 +74,52 @@ pub enum SpanPhase {
     /// Re-execution of the work lost between the recovery point and the
     /// fault, ending at the first post-recovery commit.
     Replay,
+    /// Recovery-point create window: all processors quiesced until the
+    /// commit (machine-wide; `arg` is the generation being established).
+    Create,
+    /// One node's commit scan, child of its checkpoint's create span.
+    Commit,
+    /// Instant: a coherence message reached `node` (`kind` is the message
+    /// kind, `arg` the item).
+    Delivery,
+    /// Instant: `node` failed (`arg` is 1 for a permanent failure).
+    Failure,
+    /// Instant: a fault landed inside an open recovery window, which was
+    /// abandoned and restarted; `node` is the new victim and `arg` the
+    /// number of faults folded into the episode (2 = first restart).
+    RecoveryRestarted,
+    /// Instant: a replacement for `node` rejoined.
+    Repaired,
+    /// Instant: the mesh link `node`↔`arg` was cut (both directions).
+    LinkCut,
+    /// Instant: the mesh link `node`↔`arg` was restored.
+    LinkRepaired,
+    /// Instant: the mesh router of `node` went down.
+    RouterDown,
 }
+
+/// Every phase, in declaration order.
+pub const ALL_PHASES: [SpanPhase; 19] = [
+    SpanPhase::Transaction,
+    SpanPhase::DirLookup,
+    SpanPhase::HomeFwd,
+    SpanPhase::DataReply,
+    SpanPhase::NetHop,
+    SpanPhase::Recovery,
+    SpanPhase::Detection,
+    SpanPhase::Rollback,
+    SpanPhase::Reconfiguration,
+    SpanPhase::Replay,
+    SpanPhase::Create,
+    SpanPhase::Commit,
+    SpanPhase::Delivery,
+    SpanPhase::Failure,
+    SpanPhase::RecoveryRestarted,
+    SpanPhase::Repaired,
+    SpanPhase::LinkCut,
+    SpanPhase::LinkRepaired,
+    SpanPhase::RouterDown,
+];
 
 impl SpanPhase {
     /// Stable lowercase name used by every exporter.
@@ -84,24 +135,54 @@ impl SpanPhase {
             SpanPhase::Rollback => "rollback",
             SpanPhase::Reconfiguration => "reconfiguration",
             SpanPhase::Replay => "replay",
+            SpanPhase::Create => "create",
+            SpanPhase::Commit => "commit",
+            SpanPhase::Delivery => "delivery",
+            SpanPhase::Failure => "failure",
+            SpanPhase::RecoveryRestarted => "recovery_restarted",
+            SpanPhase::Repaired => "repaired",
+            SpanPhase::LinkCut => "link_cut",
+            SpanPhase::LinkRepaired => "link_repaired",
+            SpanPhase::RouterDown => "router_down",
         }
     }
 
     /// Inverse of [`SpanPhase::name`].
     pub fn from_name(name: &str) -> Option<SpanPhase> {
-        Some(match name {
-            "transaction" => SpanPhase::Transaction,
-            "dir_lookup" => SpanPhase::DirLookup,
-            "home_fwd" => SpanPhase::HomeFwd,
-            "data_reply" => SpanPhase::DataReply,
-            "net_hop" => SpanPhase::NetHop,
-            "recovery" => SpanPhase::Recovery,
-            "detection" => SpanPhase::Detection,
-            "rollback" => SpanPhase::Rollback,
-            "reconfiguration" => SpanPhase::Reconfiguration,
-            "replay" => SpanPhase::Replay,
-            _ => return None,
-        })
+        ALL_PHASES.into_iter().find(|p| p.name() == name)
+    }
+
+    /// Is this an instant phase (a protocol event, `start == end`)?
+    pub fn is_instant(&self) -> bool {
+        matches!(
+            self,
+            SpanPhase::Delivery
+                | SpanPhase::Failure
+                | SpanPhase::RecoveryRestarted
+                | SpanPhase::Repaired
+                | SpanPhase::LinkCut
+                | SpanPhase::LinkRepaired
+                | SpanPhase::RouterDown
+        )
+    }
+
+    /// Does this phase belong to a transaction or recovery decomposition
+    /// (rather than checkpointing or the instant protocol events)?
+    pub fn is_causal(&self) -> bool {
+        !self.is_instant() && !matches!(self, SpanPhase::Create | SpanPhase::Commit)
+    }
+
+    /// The key [`SpanRecord::arg`] is exported under, for the phases that
+    /// carry one.
+    pub fn arg_name(&self) -> Option<&'static str> {
+        match self {
+            SpanPhase::Delivery => Some("item"),
+            SpanPhase::Create => Some("gen"),
+            SpanPhase::Failure => Some("permanent"),
+            SpanPhase::RecoveryRestarted => Some("depth"),
+            SpanPhase::LinkCut | SpanPhase::LinkRepaired => Some("peer"),
+            _ => None,
+        }
     }
 
     /// Does this phase belong to the recovery decomposition (rather than
@@ -124,7 +205,8 @@ impl std::fmt::Display for SpanPhase {
     }
 }
 
-/// One closed span: a measured interval with causal parentage.
+/// One record of the trace: a closed span (a measured interval with causal
+/// parentage) or an instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanRecord {
     /// This span's id (unique within a run, never 0).
@@ -139,22 +221,48 @@ pub struct SpanRecord {
     pub start: Cycles,
     /// Interval end, in cycles (`end >= start`).
     pub end: Cycles,
+    /// Message kind of a [`SpanPhase::Delivery`] (`Msg::kind`); empty for
+    /// every other phase.
+    pub kind: &'static str,
+    /// The phase's argument (see [`SpanPhase::arg_name`]); 0 for phases
+    /// without one.
+    pub arg: u64,
 }
 
 impl SpanRecord {
+    /// A record with no message kind and no argument.
+    pub fn new(
+        id: SpanId,
+        parent: SpanId,
+        phase: SpanPhase,
+        node: u16,
+        start: Cycles,
+        end: Cycles,
+    ) -> Self {
+        SpanRecord {
+            id,
+            parent,
+            phase,
+            node,
+            start,
+            end,
+            kind: "",
+            arg: 0,
+        }
+    }
+
     /// Length of the interval in cycles.
     pub fn duration(&self) -> Cycles {
         self.end - self.start
     }
 }
 
-/// A bounded ring of closed spans.
+/// A bounded ring of trace records (closed spans and instants).
 ///
-/// Mirrors the machine's `TraceLog`: capacity 0 disables the sink
-/// entirely (`push` is a no-op, [`SpanLog::enabled`] is false), a bounded
-/// log evicts the *oldest* record when full. Because records are pushed
-/// at close time, the newest span-close events always survive
-/// wraparound.
+/// Capacity 0 disables the sink entirely (`push` is a no-op,
+/// [`SpanLog::enabled`] is false); a bounded log evicts the *oldest*
+/// record when full. Because spans are pushed at close time and instants
+/// when they happen, the newest records always survive wraparound.
 #[derive(Debug, Clone, Default)]
 pub struct SpanLog {
     records: VecDeque<SpanRecord>,
@@ -188,7 +296,8 @@ impl SpanLog {
         self.next_id
     }
 
-    /// Records a closed span, evicting the oldest record when full.
+    /// Records a closed span or an instant, evicting the oldest record when
+    /// full.
     /// No-op while disabled or for records of disabled allocations
     /// (`id == 0`).
     pub fn push(&mut self, record: SpanRecord) {
@@ -201,7 +310,8 @@ impl SpanLog {
         self.records.push_back(record);
     }
 
-    /// The retained records, oldest close first.
+    /// The retained records, oldest first: spans in close order,
+    /// instants as they happened.
     pub fn records(&self) -> Vec<SpanRecord> {
         self.records.iter().copied().collect()
     }
@@ -222,14 +332,14 @@ mod tests {
     use super::*;
 
     fn rec(id: SpanId, end: Cycles) -> SpanRecord {
-        SpanRecord {
+        SpanRecord::new(
             id,
-            parent: 0,
-            phase: SpanPhase::Transaction,
-            node: 0,
-            start: end.saturating_sub(10),
+            0,
+            SpanPhase::Transaction,
+            0,
+            end.saturating_sub(10),
             end,
-        }
+        )
     }
 
     #[test]
@@ -276,24 +386,38 @@ mod tests {
         );
     }
 
+    /// One ring holds both kinds of record: wraparound evicts the oldest
+    /// and keeps the newest spans and instants alike.
+    #[test]
+    fn ring_keeps_newest_spans_and_instants() {
+        let mut log = SpanLog::new(4);
+        for t in 1..=9u64 {
+            let id = log.alloc_id();
+            if t % 2 == 0 {
+                log.push(SpanRecord::new(id, 0, SpanPhase::Delivery, 1, t, t));
+            } else {
+                log.push(rec(id, t));
+            }
+        }
+        let kept = log.records();
+        assert_eq!(
+            kept.iter().map(|r| r.end).collect::<Vec<_>>(),
+            vec![6, 7, 8, 9]
+        );
+        assert_eq!(kept.iter().filter(|r| r.phase.is_instant()).count(), 2);
+        assert_eq!(kept.iter().filter(|r| !r.phase.is_instant()).count(), 2);
+    }
+
     #[test]
     fn phase_names_round_trip() {
-        for phase in [
-            SpanPhase::Transaction,
-            SpanPhase::DirLookup,
-            SpanPhase::HomeFwd,
-            SpanPhase::DataReply,
-            SpanPhase::NetHop,
-            SpanPhase::Recovery,
-            SpanPhase::Detection,
-            SpanPhase::Rollback,
-            SpanPhase::Reconfiguration,
-            SpanPhase::Replay,
-        ] {
+        for phase in ALL_PHASES {
             assert_eq!(SpanPhase::from_name(phase.name()), Some(phase));
         }
         assert_eq!(SpanPhase::from_name("bogus"), None);
         assert!(SpanPhase::Rollback.is_recovery());
         assert!(!SpanPhase::DataReply.is_recovery());
+        assert!(SpanPhase::Failure.is_instant() && !SpanPhase::Failure.is_causal());
+        assert!(!SpanPhase::Commit.is_instant() && !SpanPhase::Commit.is_causal());
+        assert!(SpanPhase::Replay.is_causal());
     }
 }

@@ -1,7 +1,7 @@
-//! Structured export: metrics JSON, a Chrome trace, JSONL trace/span/
+//! Structured export: metrics JSON, a Chrome trace, JSONL span and
 //! time-series logs.
 //!
-//! Runs a small ECP machine with a transient failure, then writes five
+//! Runs a small ECP machine with a transient failure, then writes four
 //! artifacts next to the working directory:
 //!
 //! * `ftcoma_metrics.json` — the versioned metrics document (machine-wide,
@@ -9,11 +9,11 @@
 //! * `ftcoma_trace.json` — a Chrome trace-event file: open it in Perfetto
 //!   (<https://ui.perfetto.dev>) or `chrome://tracing` to see per-node
 //!   timelines of checkpoint creates, commit scans and the recovery window,
-//!   plus causal spans with flow arrows linking each transaction's hops;
-//! * `ftcoma_trace.jsonl` — the same events as one JSON object per line,
-//!   for `jq`-style ad-hoc analysis;
-//! * `ftcoma_spans.jsonl` — the causal span log (`ftcoma trace summarize
-//!   --spans ftcoma_spans.jsonl` digests it);
+//!   protocol events as instants, plus causal spans with flow arrows
+//!   linking each transaction's hops;
+//! * `ftcoma_spans.jsonl` — the same records as one JSON object per line,
+//!   for `jq`-style ad-hoc analysis (`ftcoma trace summarize --spans
+//!   ftcoma_spans.jsonl` digests it);
 //! * `ftcoma_timeseries.jsonl` — one epoch sample every 10k cycles.
 //!
 //! Run with:
@@ -46,11 +46,9 @@ fn main() -> std::io::Result<()> {
     let doc = export::metrics_json(&metrics, &machine.link_report());
     std::fs::write("ftcoma_metrics.json", doc.to_string_pretty() + "\n")?;
 
-    let trace = machine.trace();
     let spans = machine.spans();
-    let chrome = export::chrome_trace_with_spans(&trace, &spans, Clock::ksr1().hz());
+    let chrome = export::chrome_trace_with_spans(&spans, Clock::ksr1().hz());
     std::fs::write("ftcoma_trace.json", chrome.to_string_compact() + "\n")?;
-    std::fs::write("ftcoma_trace.jsonl", export::trace_jsonl(&trace))?;
     std::fs::write("ftcoma_spans.jsonl", export::spans_jsonl(&spans))?;
     std::fs::write(
         "ftcoma_timeseries.jsonl",
@@ -80,9 +78,8 @@ fn main() -> std::io::Result<()> {
     }
     println!();
     println!(
-        "wrote ftcoma_metrics.json, ftcoma_trace.json ({} events), ftcoma_trace.jsonl, \
-         ftcoma_spans.jsonl ({} spans), ftcoma_timeseries.jsonl ({} rows)",
-        trace.len(),
+        "wrote ftcoma_metrics.json, ftcoma_trace.json, ftcoma_spans.jsonl ({} records), \
+         ftcoma_timeseries.jsonl ({} rows)",
         spans.len(),
         machine.timeseries().len()
     );

@@ -1,8 +1,8 @@
 //! Protocol tracing: watch the coherence traffic around a failure.
 //!
-//! Runs a small ECP machine with the trace log enabled, injects a
-//! transient failure, and prints the last protocol events around the
-//! failure and recovery.
+//! Runs a small ECP machine with the trace ring enabled, injects a
+//! transient failure, and prints the message mix plus the checkpoint,
+//! failure and recovery records around it.
 //!
 //! Run with:
 //!
@@ -11,9 +11,9 @@
 //! ```
 
 use ftcoma_core::FtConfig;
-use ftcoma_machine::tracelog::TraceEvent;
 use ftcoma_machine::{FailureKind, Machine, MachineConfig};
 use ftcoma_mem::NodeId;
+use ftcoma_sim::span::SpanPhase;
 use ftcoma_workloads::presets;
 
 fn main() {
@@ -30,26 +30,28 @@ fn main() {
     machine.run();
     machine.assert_invariants();
 
-    let trace = machine.trace();
+    let trace = machine.spans();
 
     // Message-kind histogram: what does the protocol actually send?
     let mut kinds: std::collections::BTreeMap<&str, usize> = Default::default();
-    for e in &trace {
-        if let TraceEvent::Delivery { kind, .. } = e {
-            *kinds.entry(kind).or_default() += 1;
-        }
+    for s in trace.iter().filter(|s| s.phase == SpanPhase::Delivery) {
+        *kinds.entry(s.kind).or_default() += 1;
     }
-    println!("message mix over {} traced events:", trace.len());
+    println!("message mix over {} trace records:", trace.len());
     for (kind, count) in &kinds {
         println!("  {kind:<18} {count:>8}");
     }
 
-    // The milestone events, in order.
+    // The milestones — checkpoints, faults and the recovery phases — in
+    // the order they closed.
     println!("\nmilestones:");
-    for e in &trace {
-        match e {
-            TraceEvent::Delivery { .. } => {}
-            other => println!("  {other}"),
+    for s in &trace {
+        let milestone = s.phase.is_recovery() || !s.phase.is_causal();
+        if milestone && s.phase != SpanPhase::Delivery {
+            println!(
+                "  {:>10}..{:<10} {:<18} n{}",
+                s.start, s.end, s.phase, s.node
+            );
         }
     }
 }

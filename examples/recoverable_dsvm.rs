@@ -34,10 +34,8 @@ fn overheads(cfg_base: MachineConfig, freq: f64) -> (f64, f64) {
         ..cfg_base
     })
     .run();
-    let t_std = std_run.total_cycles as f64;
-    let total = ft_run.total_cycles as f64 / t_std - 1.0;
-    let create = ft_run.t_create as f64 / t_std;
-    (total, create)
+    let d = ft_run.decomposition(&std_run);
+    (d.total_overhead, d.create)
 }
 
 fn main() {

@@ -1,12 +1,12 @@
 //! Cross-cutting tests for the alternative fabrics (wormhole switching,
-//! shared bus) and the observability features (trace log, latency
+//! shared bus) and the observability features (trace ring, latency
 //! histogram, capacity report).
 
 use ftcoma_core::FtConfig;
-use ftcoma_machine::tracelog::TraceEvent;
 use ftcoma_machine::{FailureKind, Machine, MachineConfig};
 use ftcoma_mem::NodeId;
 use ftcoma_net::{BusConfig, NetConfig};
+use ftcoma_sim::span::SpanPhase;
 use ftcoma_workloads::presets;
 
 fn base() -> MachineConfig {
@@ -66,26 +66,33 @@ fn trace_orders_failure_before_recovery() {
     });
     m.schedule_failure(25_000, NodeId::new(2), FailureKind::Transient);
     m.run();
-    let trace = m.trace();
+    let trace = m.spans();
     let failure_pos = trace
         .iter()
-        .position(|e| matches!(e, TraceEvent::Failure { .. }))
+        .position(|s| s.phase == SpanPhase::Failure)
         .expect("failure traced");
     let recovered_pos = trace
         .iter()
-        .position(|e| matches!(e, TraceEvent::Recovered { .. }))
+        .position(|s| s.phase == SpanPhase::Reconfiguration)
         .expect("recovery traced");
     assert!(failure_pos < recovered_pos);
-    // Timestamps are monotone.
-    let times: Vec<_> = trace.iter().map(TraceEvent::at).collect();
+    // Instants are recorded as they happen, so their timestamps are
+    // monotone; every span ends at or after its start.
+    let times: Vec<_> = trace
+        .iter()
+        .filter(|s| s.phase.is_instant())
+        .map(|s| s.start)
+        .collect();
+    assert!(times.len() > 1);
     assert!(times.windows(2).all(|w| w[0] <= w[1]));
+    assert!(trace.iter().all(|s| s.end >= s.start));
 }
 
 #[test]
 fn trace_disabled_by_default() {
     let mut m = Machine::new(base());
     m.run();
-    assert!(m.trace().is_empty());
+    assert!(m.spans().is_empty());
 }
 
 #[test]
@@ -111,19 +118,21 @@ fn tracing_is_zero_cost() {
     let b = traced.run();
     assert_eq!(a.total_cycles, b.total_cycles, "tracing changed the timing");
     assert_eq!(a, b, "tracing changed the metrics");
-    assert!(quiet.trace().is_empty());
-    assert!(!traced.trace().is_empty());
     assert!(quiet.spans().is_empty() && quiet.timeseries().is_empty());
     assert!(!traced.spans().is_empty(), "spans collected when enabled");
+    assert!(
+        traced.spans().iter().any(|s| s.phase.is_instant()),
+        "protocol events collected when enabled"
+    );
     assert!(
         !traced.timeseries().is_empty(),
         "time-series sampled when enabled"
     );
 }
 
-/// Satellite regression: a small `--trace-capacity` ring must wrap by
-/// evicting the *oldest* span closes — the newest closes (the end-of-run
-/// tail of a full-capacity log) always survive.
+/// Regression: a small `--trace-capacity` ring must wrap by
+/// evicting the *oldest* records — the newest span closes and instants
+/// (the end-of-run tail of a full-capacity log) always survive.
 #[test]
 fn span_ring_wraparound_never_drops_newest_closes() {
     let run_with = |capacity: usize| {

@@ -4,10 +4,10 @@
 //! machine's existing reconfiguration path.
 
 use ftcoma_core::{FtConfig, RecoveryOutcome};
-use ftcoma_machine::tracelog::TraceEvent;
 use ftcoma_machine::{FailureKind, Machine, MachineConfig};
 use ftcoma_mem::NodeId;
 use ftcoma_net::MeshGeometry;
+use ftcoma_sim::span::SpanPhase;
 use ftcoma_workloads::presets;
 
 fn base() -> MachineConfig {
@@ -93,13 +93,14 @@ fn router_down_escalates_into_a_permanent_node_failure() {
     assert_eq!(*machine.outcome(), RecoveryOutcome::Recovered);
     assert!(m.net_timeouts > 0, "escalation needs exhausted retries");
     assert_eq!(m.failures, 1);
-    let trace = machine.trace();
+    let trace = machine.spans();
     assert!(trace
         .iter()
-        .any(|e| matches!(e, TraceEvent::RouterDown { node, .. } if node.index() == 3)));
-    assert!(trace.iter().any(
-        |e| matches!(e, TraceEvent::Failure { node, permanent: true, .. } if node.index() == 3)
-    ));
+        .any(|s| s.phase == SpanPhase::RouterDown && s.node == 3));
+    // The escalated failure is permanent (`arg` 1).
+    assert!(trace
+        .iter()
+        .any(|s| s.phase == SpanPhase::Failure && s.node == 3 && s.arg == 1));
     assert!(machine.check_invariants().is_empty());
 }
 

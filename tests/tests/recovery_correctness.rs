@@ -438,7 +438,7 @@ fn random_nested_fault_sequences_recover_or_certify_data_loss() {
 
 #[test]
 fn nested_fault_in_each_recovery_subphase_restarts_and_recovers() {
-    use ftcoma_machine::tracelog::TraceEvent;
+    use ftcoma_sim::span::SpanPhase;
 
     // Probe run: locate the recovery window of a single permanent fault,
     // so the nested injections below can hit each sub-phase precisely.
@@ -452,20 +452,18 @@ fn nested_fault_in_each_recovery_subphase_restarts_and_recovers() {
     let mut probe = Machine::new(probe_config);
     probe.schedule_failure(30_000, NodeId::new(2), FailureKind::Permanent);
     let _ = probe.run();
+    // Recovery completes where its reconfiguration span ends.
     let recovered_at = probe
-        .trace()
+        .spans()
         .iter()
-        .find_map(|e| match e {
-            TraceEvent::Recovered { at } if *at >= 30_000 => Some(*at),
-            _ => None,
-        })
+        .find_map(|s| (s.phase == SpanPhase::Reconfiguration && s.end >= 30_000).then_some(s.end))
         .expect("probe run must recover");
     assert!(recovered_at > 30_001, "window too narrow to subdivide");
 
     // Pin a nested fault in each recovery sub-phase. Detection is
     // zero-width, so "during detection" means the failure cycle itself;
-    // rollback starts immediately after; reconfiguration runs until the
-    // `Recovered` event; replay follows recovery until the next commit
+    // rollback starts immediately after; reconfiguration runs until its
+    // span ends; replay follows recovery until the next commit
     // (where a fault opens its own episode instead of restarting).
     for (phase, at2, expect_restart) in [
         ("detection", 30_000, true),

@@ -1,5 +1,5 @@
 //! Schema snapshot gate: the metrics document's *key tree* is pinned in
-//! `specs/schema-v7.keys`. Adding, removing or reordering exported keys
+//! `specs/schema-v8.keys`. Adding, removing or reordering exported keys
 //! is a schema change — it must come with a `SCHEMA_VERSION` bump and a
 //! regenerated golden (`FTCOMA_UPDATE_SCHEMA=1 cargo test -p ftcoma-tests
 //! --test schema_snapshot`), which makes the diff reviewable instead of
@@ -15,7 +15,7 @@ use ftcoma_mem::NodeId;
 use ftcoma_sim::Json;
 use ftcoma_workloads::presets;
 
-const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../specs/schema-v7.keys");
+const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../specs/schema-v8.keys");
 
 fn walk(doc: &Json, prefix: &str, out: &mut Vec<String>) {
     match doc {
@@ -72,7 +72,7 @@ fn metrics_document_key_tree_matches_golden() {
         return;
     }
     let golden = std::fs::read_to_string(GOLDEN)
-        .expect("specs/schema-v7.keys missing — run with FTCOMA_UPDATE_SCHEMA=1 to create it");
+        .expect("specs/schema-v8.keys missing — run with FTCOMA_UPDATE_SCHEMA=1 to create it");
     assert_eq!(
         golden, text,
         "exported key tree changed: bump SCHEMA_VERSION (crates/machine/src/export.rs), \
