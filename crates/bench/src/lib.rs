@@ -16,7 +16,7 @@
 
 use std::path::{Path, PathBuf};
 
-use ftcoma_campaign::{run_cells, Cell, Scenario};
+use ftcoma_campaign::{frequency_grid, run_cells, Cell};
 use ftcoma_core::FtConfig;
 use ftcoma_machine::{export, Machine, MachineConfig, RunMetrics};
 use ftcoma_sim::Json;
@@ -107,27 +107,6 @@ impl PairPoint {
             warmup,
         }
     }
-
-    fn cell(&self, id: u64, group: u64, ft: FtConfig) -> Cell {
-        let mode = if ft.mode.is_enabled() { "ft" } else { "std" };
-        Cell {
-            id,
-            group,
-            label: format!(
-                "{}/n{}/f{}/{mode}",
-                self.workload.name, self.nodes, self.freq_hz
-            ),
-            cfg: MachineConfig {
-                nodes: self.nodes,
-                refs_per_node: self.refs,
-                warmup_refs_per_node: self.warmup,
-                workload: self.workload.clone(),
-                ft,
-                ..MachineConfig::default()
-            },
-            scenario: Scenario::none(),
-        }
-    }
 }
 
 /// Runs every point's standard/ECP twin on `jobs` campaign workers and
@@ -137,13 +116,15 @@ impl PairPoint {
 pub fn run_pairs(points: &[PairPoint], jobs: usize) -> Vec<Pair> {
     let cells: Vec<Cell> = points
         .iter()
-        .enumerate()
-        .flat_map(|(i, p)| {
-            let (i, base) = (i as u64, 2 * i as u64);
-            [
-                p.cell(base, i, FtConfig::disabled()),
-                p.cell(base + 1, i, FtConfig::enabled(p.freq_hz)),
-            ]
+        .flat_map(|p| {
+            let base = MachineConfig {
+                nodes: p.nodes,
+                refs_per_node: p.refs,
+                warmup_refs_per_node: p.warmup,
+                workload: p.workload.clone(),
+                ..MachineConfig::default()
+            };
+            frequency_grid(&base, &[p.freq_hz]).expect("invalid bench point")
         })
         .collect();
     let outcomes = run_cells(&cells, jobs);

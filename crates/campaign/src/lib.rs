@@ -47,4 +47,7 @@ pub use runner::{
     apply_scenario, fork_cycle, needs_net, run_cell, run_cell_on, run_cells, CellOutcome,
     SnapshotForge,
 };
-pub use spec::{lengths_for, CampaignSpec, Cell, Lengths, Scenario, ScenarioKind, SpecError};
+pub use spec::{
+    check_freq, frequency_grid, lengths_for, workload_by_name, CampaignSpec, Cell, Lengths,
+    Scenario, ScenarioKind, SpecError,
+};

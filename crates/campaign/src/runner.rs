@@ -259,10 +259,36 @@ impl SnapshotForge {
     /// state at `cycle` is cached, so repeated probes (bisection!) cost at
     /// most one incremental prefix extension each.
     pub fn machine_at(&mut self, cycle: Cycles) -> Machine {
-        if let Some(snap) = self.snaps.get(&cycle) {
-            return snap.to_machine();
+        match self.snaps.get(&cycle) {
+            Some(snap) => snap.to_machine(),
+            None => self.extend(None, cycle),
         }
-        let mut m = match self.snaps.range(..=cycle).next_back() {
+    }
+
+    /// Caches the prefix at every cycle of `cycles` (ascending) in one
+    /// pass: a single machine is extended through them and snapshotted at
+    /// each, so every new fork point costs one snapshot. Forks are then
+    /// taken with [`SnapshotForge::fork`].
+    pub fn prime(&mut self, cycles: &[Cycles]) {
+        let mut head = None;
+        for &cycle in cycles {
+            if !self.snaps.contains_key(&cycle) {
+                head = Some(self.extend(head.take(), cycle));
+            }
+        }
+    }
+
+    /// A machine forked from the cached snapshot at exactly `cycle`, if
+    /// there is one.
+    pub fn fork(&self, cycle: Cycles) -> Option<Machine> {
+        self.snaps.get(&cycle).map(Snapshot::to_machine)
+    }
+
+    /// Runs `head` to `cycle` — without one, a fork of the nearest cached
+    /// snapshot at or before `cycle`, or a fresh machine — caches its
+    /// state there and returns it.
+    fn extend(&mut self, head: Option<Machine>, cycle: Cycles) -> Machine {
+        let mut m = head.unwrap_or_else(|| match self.snaps.range(..=cycle).next_back() {
             Some((_, snap)) => snap.to_machine(),
             None => {
                 let mut m = Machine::new(self.cfg.clone());
@@ -271,7 +297,7 @@ impl SnapshotForge {
                 }
                 m
             }
-        };
+        });
         m.run_until(cycle);
         self.snaps.insert(cycle, m.snapshot());
         m
@@ -355,7 +381,7 @@ pub fn run_cells(cells: &[Cell], jobs: usize) -> Vec<CellOutcome> {
 
     // Phase A: one shared prefix run per group, snapshotted at each
     // distinct fork cycle.
-    let prefixes: Vec<BTreeMap<Cycles, Snapshot>> = pool_map(&groups, jobs, |g| {
+    let forges: Vec<SnapshotForge> = pool_map(&groups, jobs, |g| {
         let mut fork_ats: Vec<Cycles> = g
             .members
             .iter()
@@ -363,16 +389,9 @@ pub fn run_cells(cells: &[Cell], jobs: usize) -> Vec<CellOutcome> {
             .collect();
         fork_ats.sort_unstable();
         fork_ats.dedup();
-        let mut m = Machine::new(g.cfg.clone());
-        if g.net {
-            m.preactivate_transport();
-        }
-        let mut snaps = BTreeMap::new();
-        for at in fork_ats {
-            m.run_until(at);
-            snaps.insert(at, m.snapshot());
-        }
-        snaps
+        let mut forge = SnapshotForge::new(g.cfg.clone(), g.net);
+        forge.prime(&fork_ats);
+        forge
     });
     let mut fork_from: Vec<Option<(usize, Cycles)>> = vec![None; cells.len()];
     for (gi, g) in groups.iter().enumerate() {
@@ -385,7 +404,10 @@ pub fn run_cells(cells: &[Cell], jobs: usize) -> Vec<CellOutcome> {
     // Phase B: every cell, forked where a prefix snapshot exists.
     let idx: Vec<usize> = (0..cells.len()).collect();
     pool_map(&idx, jobs, |&i| match fork_from[i] {
-        Some((gi, at)) => run_cell_on(&cells[i], prefixes[gi][&at].to_machine()),
+        Some((gi, at)) => {
+            let machine = forges[gi].fork(at).expect("every fork point was primed");
+            run_cell_on(&cells[i], machine)
+        }
         None => run_cell(&cells[i]),
     })
 }
@@ -472,6 +494,21 @@ mod tests {
                 assert_eq!(forked.metrics, straight.metrics);
             }
         }
+        // One priming pass over cached and new cycles alike: every fork
+        // point it leaves behind forks byte-identically too.
+        forge.prime(&[1000, 3000, 4000, 6000]);
+        for at in [3000, 6000] {
+            let cell = Cell {
+                scenario: Scenario {
+                    at,
+                    ..faulted.scenario
+                },
+                ..faulted.clone()
+            };
+            let forked = run_cell_on(&cell, forge.fork(at).expect("primed"));
+            assert_eq!(forked.metrics, run_cell(&cell).metrics, "prime@{at}");
+        }
+        assert!(forge.fork(5000).is_none());
     }
 
     #[test]

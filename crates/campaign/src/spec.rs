@@ -239,6 +239,51 @@ impl Scenario {
         parse_scenario(v)
     }
 
+    /// The scenario half of [`Cell::validate`], for a machine of `nodes`
+    /// nodes that runs the ECP when `ecp`.
+    fn check_fits(&self, nodes: u16, ecp: bool) -> Result<(), SpecError> {
+        if self.kind == ScenarioKind::None {
+            return Ok(());
+        }
+        if !ecp {
+            return Err(err(
+                "failure scenarios need the ECP (the standard protocol cannot recover)",
+            ));
+        }
+        let others = match self.kind {
+            ScenarioKind::BackToBack { second_node, .. } => vec![second_node],
+            ScenarioKind::Nested {
+                second_node,
+                gap2,
+                third_node,
+                ..
+            } if gap2 > 0 => vec![second_node, third_node],
+            ScenarioKind::Nested { second_node, .. } => vec![second_node],
+            ScenarioKind::LinkCut { to_node } => vec![to_node],
+            _ => Vec::new(),
+        };
+        if let Some(v) = std::iter::once(self.node)
+            .chain(others)
+            .find(|&v| v >= nodes)
+        {
+            return Err(err(format!(
+                "scenario targets node {v} but the machine has only {nodes} nodes"
+            )));
+        }
+        if let ScenarioKind::LinkCut { to_node } = self.kind {
+            let geo = ftcoma_net::MeshGeometry::for_nodes(usize::from(nodes));
+            if geo.hops(NodeId::new(self.node), NodeId::new(to_node)) != 1 {
+                return Err(err(format!(
+                    "link_cut nodes {} and {to_node} are not mesh-adjacent on {nodes} nodes ({}x{})",
+                    self.node,
+                    geo.cols(),
+                    geo.rows()
+                )));
+            }
+        }
+        Ok(())
+    }
+
     /// JSON form for the campaign report (`null` for the fault-free case
     /// is the caller's choice).
     pub fn to_json(&self) -> Json {
@@ -365,6 +410,103 @@ impl Cell {
     pub fn is_ft(&self) -> bool {
         self.cfg.ft.mode.is_enabled()
     }
+
+    /// Checks that the cell can be built and run: the machine
+    /// configuration ([`MachineConfig::check`]), and the scenario's fit to
+    /// that machine — only the ECP recovers from faults, every victim
+    /// exists, a cut link joins mesh neighbours. Campaign specs and the
+    /// CLI's single-grid commands validate every cell through this before
+    /// any machine is built.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SpecError`] describing the first problem found.
+    pub fn validate(&self) -> Result<(), SpecError> {
+        self.cfg.check().map_err(SpecError)?;
+        self.scenario.check_fits(self.cfg.nodes, self.is_ft())
+    }
+}
+
+/// Checks a checkpoint frequency before it reaches [`FtConfig::enabled`],
+/// which panics on anything but a positive finite rate.
+///
+/// # Errors
+///
+/// Returns a [`SpecError`] for zero, negative or non-finite frequencies.
+pub fn check_freq(freq_hz: f64) -> Result<(), SpecError> {
+    if freq_hz.is_finite() && freq_hz > 0.0 {
+        Ok(())
+    } else {
+        Err(err(format!("frequency {freq_hz} is not a positive number")))
+    }
+}
+
+/// The paper's paired grid on one machine: a standard-protocol baseline
+/// cell plus one fault-free ECP cell per frequency, every cell on `base`
+/// with `base.seed` as its machine seed (paired runs must share it). Cell
+/// ids run from 0, all in group 0.
+///
+/// # Errors
+///
+/// Returns a [`SpecError`] for a bad frequency or a cell that fails
+/// [`Cell::validate`].
+pub fn frequency_grid(base: &MachineConfig, freqs: &[f64]) -> Result<Vec<Cell>, SpecError> {
+    for &f in freqs {
+        check_freq(f)?;
+    }
+    let mut cells = Vec::new();
+    push_group(&mut cells, 0, base, true, freqs, &[Scenario::none()]);
+    for cell in &cells {
+        cell.validate()?;
+    }
+    Ok(cells)
+}
+
+/// Appends one baseline group: an optional standard-protocol cell, then
+/// one ECP cell per frequency × scenario, all on `base`.
+fn push_group(
+    cells: &mut Vec<Cell>,
+    group: u64,
+    base: &MachineConfig,
+    baseline: bool,
+    freqs: &[f64],
+    scenarios: &[Scenario],
+) {
+    let prefix = format!(
+        "{}/n{}/r{}",
+        base.workload.name.to_ascii_lowercase(),
+        base.nodes,
+        base.refs_per_node
+    );
+    if baseline {
+        cells.push(Cell {
+            id: cells.len() as u64,
+            group,
+            label: format!("{prefix}/std"),
+            cfg: MachineConfig {
+                ft: FtConfig::disabled(),
+                ..base.clone()
+            },
+            scenario: Scenario::none(),
+        });
+    }
+    for &freq in freqs {
+        for sc in scenarios {
+            cells.push(Cell {
+                id: cells.len() as u64,
+                group,
+                label: format!("{prefix}/f{freq}/{}", sc.label()),
+                cfg: MachineConfig {
+                    ft: FtConfig::enabled(freq),
+                    // Failure runs verify recovery against the
+                    // committed-value oracle.
+                    verify: base.verify || sc.kind != ScenarioKind::None,
+                    ..base.clone()
+                },
+                scenario: *sc,
+            });
+        }
+    }
 }
 
 impl Default for CampaignSpec {
@@ -385,7 +527,12 @@ impl Default for CampaignSpec {
     }
 }
 
-fn workload_by_name(name: &str) -> Result<SplashConfig, SpecError> {
+/// The workload preset or micro-benchmark called `name` (any case).
+///
+/// # Errors
+///
+/// Returns a [`SpecError`] for an unknown name.
+pub fn workload_by_name(name: &str) -> Result<SplashConfig, SpecError> {
     presets::all()
         .into_iter()
         .chain(presets::micros())
@@ -795,79 +942,17 @@ impl CampaignSpec {
         if matches!(self.lengths, Lengths::PerFrequency) && self.freqs.is_empty() {
             return Err(err("`lengths: \"paper\"` needs at least one frequency"));
         }
-        if let Lengths::Fixed { refs, .. } = self.lengths {
-            if refs == 0 {
-                return Err(err("`refs` must be positive"));
-            }
-        }
-        for f in &self.freqs {
-            if !f.is_finite() || *f <= 0.0 {
-                return Err(err(format!("frequency {f} is not a positive number")));
-            }
-        }
-        for &n in &self.nodes {
-            if n < 2 {
-                return Err(err("every machine needs at least two nodes"));
-            }
-            if n < 4 && !self.freqs.is_empty() {
-                return Err(err(format!(
-                    "{n} nodes is too small for the ECP (four copies per modified item)"
-                )));
-            }
-            for sc in &self.scenarios {
-                if sc.kind != ScenarioKind::None && sc.node >= n {
-                    return Err(err(format!(
-                        "scenario targets node {} but the machine has only {n} nodes",
-                        sc.node
-                    )));
-                }
-                if let ScenarioKind::BackToBack { second_node, .. } = sc.kind {
-                    if second_node >= n {
-                        return Err(err(format!(
-                            "scenario targets second node {second_node} but the machine has \
-                             only {n} nodes"
-                        )));
-                    }
-                }
-                if let ScenarioKind::Nested {
-                    second_node,
-                    gap2,
-                    third_node,
-                    ..
-                } = sc.kind
-                {
-                    if second_node >= n || (gap2 > 0 && third_node >= n) {
-                        return Err(err(format!(
-                            "nested scenario targets a node outside the {n}-node machine"
-                        )));
-                    }
-                }
-                if let ScenarioKind::LinkCut { to_node } = sc.kind {
-                    if to_node >= n {
-                        return Err(err(format!(
-                            "scenario cuts a link to node {to_node} but the machine has \
-                             only {n} nodes"
-                        )));
-                    }
-                    let geo = ftcoma_net::MeshGeometry::for_nodes(usize::from(n));
-                    let (a, b) = (NodeId::new(sc.node), NodeId::new(to_node));
-                    if geo.hops(a, b) != 1 {
-                        return Err(err(format!(
-                            "link_cut nodes {} and {to_node} are not mesh-adjacent on \
-                             {n} nodes ({}x{})",
-                            sc.node,
-                            geo.cols(),
-                            geo.rows()
-                        )));
-                    }
-                }
-            }
+        for &f in &self.freqs {
+            check_freq(f)?;
         }
         let faulty = self.scenarios.iter().any(|s| s.kind != ScenarioKind::None);
         if faulty && self.freqs.is_empty() {
             return Err(err(
                 "failure scenarios need at least one frequency (the baseline cannot recover)",
             ));
+        }
+        for cell in self.cells() {
+            cell.validate()?;
         }
         Ok(())
     }
@@ -887,6 +972,11 @@ impl CampaignSpec {
     /// first when the spec was built programmatically.
     pub fn expand(&self) -> Vec<Cell> {
         self.validate().expect("invalid campaign spec");
+        self.cells()
+    }
+
+    /// The expansion behind [`CampaignSpec::expand`], without validation.
+    fn cells(&self) -> Vec<Cell> {
         let mut cells = Vec::new();
         let mut group: u64 = 0;
         for wl in &self.workloads {
@@ -908,45 +998,22 @@ impl CampaignSpec {
                         .collect(),
                 };
                 for (refs, warmup, freqs) in groups {
-                    let seed = derive_seed(self.seed, group);
                     let base = MachineConfig {
                         nodes,
                         refs_per_node: refs,
                         warmup_refs_per_node: warmup,
                         workload: wl.clone(),
-                        seed,
+                        seed: derive_seed(self.seed, group),
                         ..MachineConfig::default()
                     };
-                    let wl_tag = wl.name.to_ascii_lowercase();
-                    if self.baseline {
-                        cells.push(Cell {
-                            id: cells.len() as u64,
-                            group,
-                            label: format!("{wl_tag}/n{nodes}/r{refs}/std"),
-                            cfg: MachineConfig {
-                                ft: FtConfig::disabled(),
-                                ..base.clone()
-                            },
-                            scenario: Scenario::none(),
-                        });
-                    }
-                    for &freq in &freqs {
-                        for sc in &self.scenarios {
-                            cells.push(Cell {
-                                id: cells.len() as u64,
-                                group,
-                                label: format!("{wl_tag}/n{nodes}/r{refs}/f{freq}/{}", sc.label()),
-                                cfg: MachineConfig {
-                                    ft: FtConfig::enabled(freq),
-                                    // Failure runs verify recovery against
-                                    // the committed-value oracle.
-                                    verify: sc.kind != ScenarioKind::None,
-                                    ..base.clone()
-                                },
-                                scenario: *sc,
-                            });
-                        }
-                    }
+                    push_group(
+                        &mut cells,
+                        group,
+                        &base,
+                        self.baseline,
+                        &freqs,
+                        &self.scenarios,
+                    );
                     group += 1;
                 }
             }

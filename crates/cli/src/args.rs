@@ -88,18 +88,20 @@ impl Parsed {
             .unwrap_or_else(|| default.to_string())
     }
 
-    /// Integer flag with a default.
+    /// Unsigned integer flag with a default, range-checked into `T`
+    /// (`--nodes` is a `u16`, `--max-retries` a `u32`, ...).
     ///
     /// # Errors
     ///
-    /// Returns an error if the value does not parse.
-    pub fn u64_or(&self, key: &str, default: u64) -> Result<u64, ArgError> {
-        match self.flags.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| ArgError(format!("--{key}: bad integer {v}"))),
-        }
+    /// Returns an error if the value does not parse or does not fit `T`.
+    pub fn uint_or<T: TryFrom<u64>>(&self, key: &str, default: T) -> Result<T, ArgError> {
+        let Some(v) = self.flags.get(key) else {
+            return Ok(default);
+        };
+        let n: u64 = v
+            .parse()
+            .map_err(|_| ArgError(format!("--{key}: bad integer {v}")))?;
+        T::try_from(n).map_err(|_| ArgError(format!("--{key}: {n} is out of range")))
     }
 
     /// Float flag with a default.
@@ -167,9 +169,9 @@ mod tests {
         let a = p("run --workload mp3d --nodes 16 --no-ft").unwrap();
         assert_eq!(a.command, "run");
         assert_eq!(a.str_or("workload", "water"), "mp3d");
-        assert_eq!(a.u64_or("nodes", 9).unwrap(), 16);
+        assert_eq!(a.uint_or("nodes", 9).unwrap(), 16);
         assert!(a.has("no-ft"));
-        assert_eq!(a.u64_or("refs", 1000).unwrap(), 1000);
+        assert_eq!(a.uint_or("refs", 1000).unwrap(), 1000);
     }
 
     #[test]
@@ -179,7 +181,19 @@ mod tests {
         assert!(p("run --nodes").is_err());
         assert!(p("run stray").is_err());
         assert!(p("run --nodes 4 --nodes 5").is_err());
-        assert!(p("run --nodes four").unwrap().u64_or("nodes", 1).is_err());
+        assert!(p("run --nodes four").unwrap().uint_or("nodes", 1).is_err());
+        // Checked narrowing: no silent truncation into the target type.
+        let a = p("run --nodes 65545 --max-retries 7").unwrap();
+        assert!(a.uint_or("nodes", 16u16).is_err());
+        assert_eq!(a.uint_or("max-retries", 10u32).unwrap(), 7);
+        assert_eq!(a.uint_or("refs", 3u16).unwrap(), 3);
+        assert_eq!(
+            p("run --nodes 65535")
+                .unwrap()
+                .uint_or("nodes", 16u16)
+                .unwrap(),
+            65535
+        );
     }
 
     #[test]

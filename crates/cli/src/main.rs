@@ -20,17 +20,15 @@ use std::time::Instant;
 
 use args::{ArgError, Parsed};
 use ftcoma_campaign::{
-    report, run_cell, run_cells, CampaignSpec, Cell, Lengths, Scenario, ScenarioKind,
+    check_freq, frequency_grid, report, run_cell, run_cells, workload_by_name, CampaignSpec, Cell,
+    CellOutcome, Scenario, ScenarioKind, SpecError,
 };
 use ftcoma_chaos::{ChaosConfig, Counterexample, Verdict};
 use ftcoma_core::{FtConfig, RecoveryOutcome};
-use ftcoma_machine::TsSample;
-use ftcoma_machine::{export, probe, FailureKind, Machine, MachineConfig, RetryPolicy, RunMetrics};
-use ftcoma_mem::NodeId;
-use ftcoma_net::LinkReport;
+use ftcoma_machine::{export, probe, MachineConfig, RetryPolicy, RunMetrics};
 use ftcoma_sim::span::SpanRecord;
 use ftcoma_sim::{Clock, Json};
-use ftcoma_workloads::{presets, SplashConfig};
+use ftcoma_workloads::SplashConfig;
 
 fn main() -> ExitCode {
     let parsed = match Parsed::parse(std::env::args().skip(1)) {
@@ -80,10 +78,15 @@ USAGE
                   [--trace-capacity N] [--spans-out FILE]
                   [--timeseries-out FILE] [--timeseries-every CYCLES]
   ftcoma compare  --workload W [--nodes N] [--refs R] [--warmup U] [--freq F]
-  ftcoma sweep    --workload W [--nodes N] [--freqs F1,F2,...] [--jobs J]
+                  [--seed S]
+  ftcoma sweep    --workload W [--nodes N] [--refs R] [--warmup U]
+                  [--freqs F1,F2,...] [--seed S] [--jobs J]
   ftcoma failure  --workload W --kind transient|permanent|continuous
                   [--node K] [--at CYCLES] [--repair-at CYCLES]
                   [--node-mtbf C --node-mttr C] [--link-mtbf C --link-mttr C]
+                  [--nodes N] [--refs R] [--warmup U] [--freq F] [--seed S]
+                  [--rto-base C] [--rto-cap C] [--max-retries N]
+                  [the OBSERVABILITY flags]
   ftcoma campaign --spec FILE [--jobs J] [--json] [--out FILE] [--cell ID]
   ftcoma chaos    [--seeds G] [--cases N] [--jobs J] [--seed S]
                   [--workload W] [--nodes K] [--freq F] [--refs R]
@@ -92,6 +95,16 @@ USAGE
   ftcoma trace summarize --spans FILE [--top K]
   ftcoma latency
   ftcoma help
+
+RUNS AND GRIDS (run, failure, compare, sweep)
+  --seed S is the machine seed of every run these commands make: compare
+  and sweep pair the standard-protocol baseline with each ECP frequency
+  on that one seed, so `compare --freq F` and `sweep --freqs F` measure
+  the same pair. failure's scenario flags map onto the campaign scenario
+  keys of the same name (--repair-at -> repair_at, --node-mtbf ->
+  node_mtbf), run's --fail-at/--fail-node onto `at`/`node`. The campaign's
+  scenario parser and cell validator check them before any machine is
+  built, so their error messages name those keys.
 
 CAMPAIGNS
   A campaign spec (see docs/CAMPAIGNS.md) expands workloads x node counts
@@ -154,24 +167,66 @@ WORKLOADS
 ";
 
 fn workload(p: &Parsed) -> Result<SplashConfig, ArgError> {
-    let name = p.str_or("workload", "water");
-    let all: Vec<SplashConfig> = presets::all()
-        .into_iter()
-        .chain(presets::micros())
-        .collect();
-    all.into_iter()
-        .find(|w| w.name.eq_ignore_ascii_case(&name))
-        .ok_or_else(|| ArgError(format!("unknown workload `{name}`")))
+    Ok(workload_by_name(&p.str_or("workload", "water"))?)
 }
 
+fn write_file(path: &str, contents: &str) -> Result<(), ArgError> {
+    std::fs::write(path, contents).map_err(|e| ArgError(format!("cannot write {path}: {e}")))
+}
+
+fn read_file(path: &str) -> Result<String, ArgError> {
+    std::fs::read_to_string(path).map_err(|e| ArgError(format!("cannot read {path}: {e}")))
+}
+
+impl From<SpecError> for ArgError {
+    fn from(e: SpecError) -> Self {
+        ArgError(e.0)
+    }
+}
+
+/// Flags every single-grid command reads: the workload and machine shape.
+const GRID_FLAGS: &[&str] = &["workload", "nodes", "refs", "warmup", "seed"];
+
+/// The machine flags `run` and `failure` read on top of the grid flags:
+/// the ECP frequency and the reliable transport's retry policy.
+const MACHINE_FLAGS: &[&str] = &["freq", "rto-base", "rto-cap", "max-retries"];
+
+/// The structured-output flags of `run` and `failure`.
+const OUTPUT_FLAGS: &[&str] = &[
+    "json",
+    "metrics-out",
+    "trace-out",
+    "trace-capacity",
+    "spans-out",
+    "timeseries-out",
+    "timeseries-every",
+];
+
+/// `failure`'s scenario flags; each maps onto the scenario key of the same
+/// name (`--repair-at` → `repair_at`).
+const FAILURE_SCENARIO_FLAGS: &[&str] = &[
+    "node",
+    "at",
+    "repair-at",
+    "node-mtbf",
+    "node-mttr",
+    "link-mtbf",
+    "link-mttr",
+];
+
+/// The machine a command's flags describe. Nothing is validated here
+/// beyond the frequency; [`Cell::validate`] checks the rest before any
+/// machine is built.
 fn machine_config(p: &Parsed) -> Result<MachineConfig, ArgError> {
     let ft = if p.has("no-ft") {
         FtConfig::disabled()
     } else {
-        FtConfig::enabled(p.f64_or("freq", 100.0)?)
+        let freq = p.f64_or("freq", 100.0)?;
+        check_freq(freq).map_err(|e| ArgError(format!("--freq: {e}")))?;
+        FtConfig::enabled(freq)
     };
     let net = if p.has("wormhole") {
-        ftcoma_net_config_wormhole()
+        ftcoma_net::NetConfig::wormhole()
     } else {
         Default::default()
     };
@@ -184,94 +239,62 @@ fn machine_config(p: &Parsed) -> Result<MachineConfig, ArgError> {
     // Reliable-transport retry policy. The defaults reproduce the
     // historical constants, so runs that leave these flags alone are
     // byte-identical to builds that predate them.
-    let retry = {
-        let d = RetryPolicy::default();
-        let retry = RetryPolicy {
-            rto_base: p.u64_or("rto-base", d.rto_base)?,
-            rto_cap: p.u64_or("rto-cap", d.rto_cap)?,
-            max_retries: p.u64_or("max-retries", u64::from(d.max_retries))? as u32,
-        };
-        retry.validate().map_err(ArgError)?;
-        retry
-    };
+    let d = RetryPolicy::default();
     Ok(MachineConfig {
-        nodes: p.u64_or("nodes", 16)? as u16,
-        refs_per_node: p.u64_or("refs", 60_000)?,
-        warmup_refs_per_node: p.u64_or("warmup", 30_000)?,
+        nodes: p.uint_or("nodes", 16)?,
+        refs_per_node: p.uint_or("refs", 60_000)?,
+        warmup_refs_per_node: p.uint_or("warmup", 30_000)?,
         workload: workload(p)?,
         ft,
         net,
-        seed: p.u64_or("seed", 0xF7C0_3A11)?,
+        seed: p.uint_or("seed", 0xF7C0_3A11)?,
         verify: p.has("verify"),
-        retry,
-        trace_capacity: p.u64_or("trace-capacity", default_trace_capacity)? as usize,
-        timeseries_every: p.u64_or("timeseries-every", default_ts_every)?,
+        retry: RetryPolicy {
+            rto_base: p.uint_or("rto-base", d.rto_base)?,
+            rto_cap: p.uint_or("rto-cap", d.rto_cap)?,
+            max_retries: p.uint_or("max-retries", d.max_retries)?,
+        },
+        trace_capacity: p.uint_or("trace-capacity", default_trace_capacity)?,
+        timeseries_every: p.uint_or("timeseries-every", default_ts_every)?,
         ..MachineConfig::default()
     })
 }
 
 /// Handles the structured-output flags shared by `run` and `failure`.
 /// Returns `true` when `--json` consumed stdout (suppress the text report).
-fn export_outputs(
-    p: &Parsed,
-    metrics: &RunMetrics,
-    links: &[LinkReport],
-    spans: &[SpanRecord],
-    timeseries: &[TsSample],
-    outcome: &RecoveryOutcome,
-) -> Result<bool, ArgError> {
-    let write = |path: &str, contents: &str| {
-        std::fs::write(path, contents).map_err(|e| ArgError(format!("cannot write {path}: {e}")))
-    };
-    let wants_doc = p.has("json") || p.has("metrics-out");
-    let doc = if wants_doc {
-        let mut d = export::metrics_json(metrics, links);
-        match &mut d {
-            Json::Obj(pairs) => pairs.push(("outcome".into(), export::outcome_json(outcome))),
-            _ => {
-                return Err(ArgError(
-                    "malformed metrics document: top level must be a JSON object".into(),
-                ))
-            }
-        }
-        Some(d)
-    } else {
-        None
-    };
-    if let Some(doc) = &doc {
+fn export_outputs(p: &Parsed, o: &CellOutcome) -> Result<bool, ArgError> {
+    let write = |flag: &str, contents: &str| write_file(&p.str_or(flag, ""), contents);
+    let mut json = None;
+    if p.has("json") || p.has("metrics-out") {
+        let Json::Obj(mut pairs) = export::metrics_json(&o.metrics, &o.links) else {
+            return Err(ArgError(
+                "malformed metrics document: top level must be a JSON object".into(),
+            ));
+        };
+        pairs.push(("outcome".into(), export::outcome_json(&o.outcome)));
+        let text = Json::Obj(pairs).to_string_pretty();
         if p.has("metrics-out") {
-            let mut text = doc.to_string_pretty();
-            text.push('\n');
-            write(&p.str_or("metrics-out", ""), &text)?;
+            write("metrics-out", &format!("{text}\n"))?;
         }
+        json = p.has("json").then_some(text);
     }
     if p.has("trace-out") {
-        let chrome = export::chrome_trace_with_spans(spans, Clock::ksr1().hz());
-        let mut text = chrome.to_string_compact();
-        text.push('\n');
-        write(&p.str_or("trace-out", ""), &text)?;
+        let chrome = export::chrome_trace_with_spans(&o.spans, Clock::ksr1().hz());
+        write("trace-out", &format!("{}\n", chrome.to_string_compact()))?;
     }
     if p.has("spans-out") {
-        write(&p.str_or("spans-out", ""), &export::spans_jsonl(spans))?;
+        write("spans-out", &export::spans_jsonl(&o.spans))?;
     }
     if p.has("timeseries-out") {
-        write(
-            &p.str_or("timeseries-out", ""),
-            &export::timeseries_jsonl(timeseries),
-        )?;
+        write("timeseries-out", &export::timeseries_jsonl(&o.timeseries))?;
     }
-    if p.has("json") {
-        let doc = doc.ok_or_else(|| {
-            ArgError("internal: --json was requested but no document was built".into())
-        })?;
-        println!("{}", doc.to_string_pretty());
-        return Ok(true);
+    match json {
+        Some(text) => {
+            println!("{text}");
+            Ok(true)
+        }
+        None => Ok(false),
     }
-    Ok(false)
-}
-
-fn ftcoma_net_config_wormhole() -> ftcoma_net::NetConfig {
-    ftcoma_net::NetConfig::wormhole()
 }
 
 fn print_metrics(m: &RunMetrics) {
@@ -306,72 +329,6 @@ fn print_metrics(m: &RunMetrics) {
     );
 }
 
-const RUN_FLAGS: &[&str] = &[
-    "workload",
-    "nodes",
-    "refs",
-    "warmup",
-    "freq",
-    "no-ft",
-    "seed",
-    "verify",
-    "wormhole",
-    "fail-at",
-    "fail-kind",
-    "fail-node",
-    "rto-base",
-    "rto-cap",
-    "max-retries",
-    "json",
-    "metrics-out",
-    "trace-out",
-    "trace-capacity",
-    "spans-out",
-    "timeseries-out",
-    "timeseries-every",
-];
-
-/// The `--fail-at/--fail-kind/--fail-node` injection triple of `run`.
-fn injection_flags(p: &Parsed) -> Result<Option<(u64, u16, FailureKind)>, ArgError> {
-    if !p.has("fail-at") {
-        if p.has("fail-kind") || p.has("fail-node") {
-            return Err(ArgError(
-                "--fail-kind/--fail-node need --fail-at CYCLES".into(),
-            ));
-        }
-        return Ok(None);
-    }
-    let kind = match p.str_or("fail-kind", "transient").as_str() {
-        "transient" => FailureKind::Transient,
-        "permanent" => FailureKind::Permanent,
-        other => {
-            return Err(ArgError(format!(
-                "--fail-kind must be transient|permanent, got {other}"
-            )))
-        }
-    };
-    Ok(Some((
-        p.u64_or("fail-at", 0)?,
-        p.u64_or("fail-node", 1)? as u16,
-        kind,
-    )))
-}
-
-/// Folds the post-run invariant sweep into the machine's own outcome.
-fn final_outcome(machine: &Machine, metrics: &RunMetrics) -> RecoveryOutcome {
-    let outcome = machine.outcome().clone();
-    if outcome.is_recovered() {
-        let problems = machine.check_invariants();
-        if !problems.is_empty() {
-            return RecoveryOutcome::InvariantViolation {
-                at: metrics.total_cycles,
-                problems,
-            };
-        }
-    }
-    outcome
-}
-
 /// Error mapping shared by every command that surfaces a [`RecoveryOutcome`]:
 /// an invariant violation is a simulator-correctness failure and must fail
 /// the process; an unrecoverable second fault is a *reported* legal outcome.
@@ -385,76 +342,171 @@ fn fail_on_violation(outcome: &RecoveryOutcome) -> Result<(), ArgError> {
     Ok(())
 }
 
-fn cmd_run(p: &Parsed) -> Result<(), ArgError> {
-    p.assert_only(RUN_FLAGS)?;
-    let inject = injection_flags(p)?;
-    let mut cfg = machine_config(p)?;
-    if let Some((at, node, _)) = inject {
-        if u64::from(node) >= u64::from(cfg.nodes) {
-            return Err(ArgError(format!(
-                "--fail-node {node} out of range for {} nodes",
-                cfg.nodes
-            )));
-        }
-        if !cfg.ft.mode.is_enabled() {
-            return Err(ArgError("--fail-at needs the ECP (drop --no-ft)".into()));
-        }
-        if at == 0 {
-            return Err(ArgError("--fail-at must be a positive cycle".into()));
-        }
-        cfg.verify = true; // an injected run is always checked
+/// The `--kind`-style flag `flag`, one of `kinds` (the first is the
+/// default).
+fn kind_flag(p: &Parsed, flag: &str, kinds: &[&str]) -> Result<String, ArgError> {
+    let kind = p.str_or(flag, kinds[0]);
+    if kinds.contains(&kind.as_str()) {
+        Ok(kind)
+    } else {
+        Err(ArgError(format!(
+            "--{flag} must be {}, got {kind}",
+            kinds.join("|")
+        )))
     }
-    let quiet = p.has("json"); // keep stdout pure JSON
-    if !quiet {
+}
+
+/// The single cell of `run` and `failure`: the flags' machine plus a
+/// scenario of `kind` whose keys come from `flags` (`--repair-at` →
+/// `repair_at`, `run`'s `--fail-node` → `node`). The scenario goes
+/// through the campaign's parser and the cell through [`Cell::validate`],
+/// so both commands enforce exactly the rules campaign specs do, and
+/// errors name the scenario keys.
+fn single_cell(p: &Parsed, kind: &str, flags: &[&str]) -> Result<Cell, ArgError> {
+    let mut keys = vec![("kind".to_string(), Json::from(kind))];
+    for flag in flags.iter().filter(|f| p.has(f)) {
+        let key = flag.trim_start_matches("fail-").replace('-', "_");
+        keys.push((key, Json::from(p.uint_or(flag, 0u64)?)));
+    }
+    // A continuous process samples from the start unless told otherwise;
+    // a scripted fault's `at` defaults to the parser's 20000.
+    if kind == "continuous" && !keys.iter().any(|(k, _)| k == "at") {
+        keys.push(("at".into(), Json::from(0u64)));
+    }
+    let scenario = Scenario::from_json(&Json::Obj(keys))?;
+    let mut cfg = machine_config(p)?;
+    // An injected run is always checked against the oracle.
+    cfg.verify |= scenario.kind != ScenarioKind::None;
+    let cell = Cell {
+        id: 0,
+        group: 0,
+        label: format!(
+            "{}/{}",
+            cfg.workload.name.to_ascii_lowercase(),
+            scenario.label()
+        ),
+        cfg,
+        scenario,
+    };
+    cell.validate()?;
+    Ok(cell)
+}
+
+/// Runs the cell of `run` or `failure`, writes the structured outputs and,
+/// unless `--json` claimed stdout, prints the text report with `text`.
+fn run_single(p: &Parsed, cell: &Cell, text: impl FnOnce(&CellOutcome)) -> Result<(), ArgError> {
+    let outcome = run_cell(cell);
+    if !export_outputs(p, &outcome)? {
+        text(&outcome);
+    }
+    fail_on_violation(&outcome.outcome)
+}
+
+fn cmd_run(p: &Parsed) -> Result<(), ArgError> {
+    const INJECTION_FLAGS: &[&str] = &["fail-at", "fail-node"];
+    p.assert_only(
+        &[
+            GRID_FLAGS,
+            MACHINE_FLAGS,
+            OUTPUT_FLAGS,
+            INJECTION_FLAGS,
+            &["fail-kind", "no-ft", "verify", "wormhole"],
+        ]
+        .concat(),
+    )?;
+    let kind = if p.has("fail-at") {
+        kind_flag(p, "fail-kind", &["transient", "permanent"])?
+    } else if p.has("fail-kind") || p.has("fail-node") {
+        return Err(ArgError(
+            "--fail-kind/--fail-node need --fail-at CYCLES".into(),
+        ));
+    } else {
+        "none".into()
+    };
+    let cell = single_cell(p, &kind, INJECTION_FLAGS)?;
+    if !p.has("json") {
+        let cfg = &cell.cfg;
         println!(
             "running {} on {} nodes ({})",
             cfg.workload.name,
             cfg.nodes,
-            if cfg.ft.mode.is_enabled() {
+            if cell.is_ft() {
                 format!("ECP, {} rp/s", cfg.ft.ckpt_rate_hz)
             } else {
                 "standard protocol".into()
             }
         );
+        println!("capacity check: {}", cfg.capacity_report());
     }
-    let mut machine = Machine::new(cfg);
-    if !quiet {
-        println!("capacity check: {}", machine.capacity_report());
-    }
-    if let Some((at, node, kind)) = inject {
-        machine.schedule_failure(at, NodeId::new(node), kind);
-    }
-    let metrics = machine.run();
-    let outcome = final_outcome(&machine, &metrics);
-    if !export_outputs(
-        p,
-        &metrics,
-        &machine.link_report(),
-        &machine.spans(),
-        machine.timeseries(),
-        &outcome,
-    )? {
-        print_metrics(&metrics);
-        if inject.is_some() || !outcome.is_recovered() {
-            println!("outcome          {outcome}");
+    run_single(p, &cell, |o| {
+        print_metrics(&o.metrics);
+        if cell.scenario.kind != ScenarioKind::None || !o.outcome.is_recovered() {
+            println!("outcome          {}", o.outcome);
         }
+    })
+}
+
+fn cmd_failure(p: &Parsed) -> Result<(), ArgError> {
+    p.assert_only(
+        &[
+            GRID_FLAGS,
+            MACHINE_FLAGS,
+            OUTPUT_FLAGS,
+            FAILURE_SCENARIO_FLAGS,
+            &["kind"],
+        ]
+        .concat(),
+    )?;
+    let kind = kind_flag(p, "kind", &["transient", "permanent", "continuous"])?;
+    let cell = single_cell(p, &kind, FAILURE_SCENARIO_FLAGS)?;
+    let sc = cell.scenario;
+    run_single(p, &cell, |o| {
+        match &o.outcome {
+            RecoveryOutcome::Recovered => {
+                println!("scenario `{}`: recovered and verified", sc.label());
+            }
+            other => println!("scenario `{}`: {other}", sc.label()),
+        }
+        if matches!(sc.kind, ScenarioKind::Continuous { .. }) || sc.repair_at.is_some() {
+            println!("faults survived  {:>14}", o.metrics.faults_survived);
+            println!(
+                "steady MTTR      {:>11.0} cy",
+                o.metrics.steady_mttr_cycles()
+            );
+        }
+        print_metrics(&o.metrics);
+    })
+}
+
+/// `--jobs` with a per-core default, shared by `sweep` and `campaign`
+/// (`compare` takes no `--jobs` and always gets the default).
+fn jobs_flag(p: &Parsed) -> Result<usize, ArgError> {
+    let default = std::thread::available_parallelism().map_or(1, |n| n.get());
+    match p.uint_or("jobs", default)? {
+        0 => Err(ArgError("--jobs must be at least 1".into())),
+        jobs => Ok(jobs),
     }
-    fail_on_violation(&outcome)
+}
+
+/// The grid of `compare` and `sweep`: the flags' machine under the
+/// standard protocol, then under the ECP at each of `freqs`, every cell on
+/// the `--seed` machine seed. Returns the cells and their outcomes.
+fn run_grid(p: &Parsed, freqs: &[f64]) -> Result<(Vec<Cell>, Vec<CellOutcome>), ArgError> {
+    let cells = frequency_grid(&machine_config(p)?, freqs)?;
+    let outcomes = run_cells(&cells, jobs_flag(p)?);
+    Ok((cells, outcomes))
 }
 
 fn cmd_compare(p: &Parsed) -> Result<(), ArgError> {
-    p.assert_only(RUN_FLAGS)?;
-    let ft_cfg = machine_config(p)?;
-    let std_cfg = MachineConfig {
-        ft: FtConfig::disabled(),
-        ..ft_cfg.clone()
-    };
-    let std_m = Machine::new(std_cfg).run();
-    let ft_m = Machine::new(ft_cfg.clone()).run();
-    let d = ft_m.decomposition(&std_m);
+    p.assert_only(&[GRID_FLAGS, &["freq"]].concat())?;
+    // `machine_config` checks `--freq` before the grid is built.
+    let (cells, outcomes) = run_grid(p, &[p.f64_or("freq", 100.0)?])?;
+    let (std_m, ft_m) = (&outcomes[0].metrics, &outcomes[1].metrics);
+    let d = ft_m.decomposition(std_m);
+    let cfg = &cells[1].cfg;
     println!(
         "{} on {} nodes at {} rp/s:",
-        ft_cfg.workload.name, ft_cfg.nodes, ft_cfg.ft.ckpt_rate_hz
+        cfg.workload.name, cfg.nodes, cfg.ft.ckpt_rate_hz
     );
     println!("standard    {:>12} cycles", std_m.total_cycles);
     println!("ECP         {:>12} cycles", ft_m.total_cycles);
@@ -465,40 +517,12 @@ fn cmd_compare(p: &Parsed) -> Result<(), ArgError> {
     Ok(())
 }
 
-/// `--jobs` with a per-core default, shared by `sweep` and `campaign`.
-fn jobs_flag(p: &Parsed) -> Result<usize, ArgError> {
-    let default = std::thread::available_parallelism().map_or(1, |n| n.get() as u64);
-    let jobs = p.u64_or("jobs", default)?;
-    if jobs == 0 {
-        return Err(ArgError("--jobs must be at least 1".into()));
-    }
-    Ok(jobs as usize)
-}
-
 fn cmd_sweep(p: &Parsed) -> Result<(), ArgError> {
-    p.assert_only(&[
-        "workload", "nodes", "freqs", "refs", "warmup", "seed", "jobs",
-    ])?;
+    p.assert_only(&[GRID_FLAGS, &["freqs", "jobs"]].concat())?;
     let freqs = p.f64_list_or("freqs", &[400.0, 200.0, 100.0, 50.0])?;
-    // One base configuration for the whole sweep; the campaign engine runs
-    // the standard-protocol baseline once and every frequency against it.
-    let base = machine_config(p)?;
-    let spec = CampaignSpec {
-        name: "sweep".into(),
-        seed: base.seed,
-        workloads: vec![base.workload.clone()],
-        nodes: vec![base.nodes],
-        freqs,
-        lengths: Lengths::Fixed {
-            refs: base.refs_per_node,
-            warmup: base.warmup_refs_per_node,
-        },
-        baseline: true,
-        scenarios: vec![Scenario::none()],
-    };
-    spec.validate().map_err(|e| ArgError(e.0))?;
-    let cells = spec.expand();
-    let outcomes = run_cells(&cells, jobs_flag(p)?);
+    // The standard-protocol baseline runs once; every frequency is
+    // measured against it.
+    let (cells, outcomes) = run_grid(p, &freqs)?;
     let std_m = &outcomes[0].metrics;
     println!(
         "baseline (standard protocol): {} cycles over {} refs",
@@ -522,152 +546,6 @@ fn cmd_sweep(p: &Parsed) -> Result<(), ArgError> {
     Ok(())
 }
 
-fn cmd_failure(p: &Parsed) -> Result<(), ArgError> {
-    p.assert_only(&[
-        "workload",
-        "nodes",
-        "refs",
-        "warmup",
-        "freq",
-        "seed",
-        "kind",
-        "node",
-        "at",
-        "repair-at",
-        "node-mtbf",
-        "node-mttr",
-        "link-mtbf",
-        "link-mttr",
-        "rto-base",
-        "rto-cap",
-        "max-retries",
-        "json",
-        "metrics-out",
-        "trace-out",
-        "trace-capacity",
-        "spans-out",
-        "timeseries-out",
-        "timeseries-every",
-    ])?;
-    let mut cfg = machine_config(p)?;
-    cfg.verify = true;
-    let kind = match p.str_or("kind", "transient").as_str() {
-        "transient" => ScenarioKind::Transient,
-        "permanent" => ScenarioKind::Permanent,
-        "continuous" => {
-            let kind = ScenarioKind::Continuous {
-                node_mtbf: p.u64_or("node-mtbf", 0)?,
-                node_mttr: p.u64_or("node-mttr", 0)?,
-                link_mtbf: p.u64_or("link-mtbf", 0)?,
-                link_mttr: p.u64_or("link-mttr", 0)?,
-            };
-            if let ScenarioKind::Continuous {
-                node_mtbf,
-                node_mttr,
-                link_mtbf,
-                link_mttr,
-            } = kind
-            {
-                if node_mtbf == 0 && link_mtbf == 0 {
-                    return Err(ArgError(
-                        "--kind continuous needs --node-mtbf and/or --link-mtbf".into(),
-                    ));
-                }
-                if node_mtbf > 0 && node_mttr == 0 {
-                    return Err(ArgError("--node-mtbf needs a positive --node-mttr".into()));
-                }
-                if link_mtbf > 0 && link_mttr == 0 {
-                    return Err(ArgError("--link-mtbf needs a positive --link-mttr".into()));
-                }
-            }
-            kind
-        }
-        other => {
-            return Err(ArgError(format!(
-                "--kind must be transient|permanent|continuous, got {other}"
-            )))
-        }
-    };
-    if !matches!(kind, ScenarioKind::Continuous { .. })
-        && ["node-mtbf", "node-mttr", "link-mtbf", "link-mttr"]
-            .iter()
-            .any(|k| p.has(k))
-    {
-        return Err(ArgError(
-            "--node-mtbf/--node-mttr/--link-mtbf/--link-mttr need --kind continuous".into(),
-        ));
-    }
-    let repair_at = match p.u64_or("repair-at", u64::MAX)? {
-        u64::MAX => None,
-        at => Some(at),
-    };
-    if repair_at.is_some() && kind != ScenarioKind::Permanent {
-        return Err(ArgError(
-            "--repair-at only applies to permanent failures".into(),
-        ));
-    }
-    let scenario = Scenario {
-        kind,
-        node: p.u64_or("node", 1)? as u16,
-        // For a continuous process `at` is the start offset (0 = sample
-        // from the beginning); for scripted faults it is the fault cycle.
-        at: p.u64_or(
-            "at",
-            if matches!(kind, ScenarioKind::Continuous { .. }) {
-                0
-            } else {
-                20_000
-            },
-        )?,
-        repair_at,
-    };
-    if let Some(r) = repair_at {
-        if r <= scenario.at {
-            return Err(ArgError(format!(
-                "--repair-at ({r}) must come strictly after the failure at {}",
-                scenario.at
-            )));
-        }
-    }
-    // A failure run is a single campaign cell with an explicit seed.
-    let cell = Cell {
-        id: 0,
-        group: 0,
-        label: format!(
-            "{}/{}",
-            cfg.workload.name.to_ascii_lowercase(),
-            scenario.label()
-        ),
-        cfg,
-        scenario,
-    };
-    let outcome = run_cell(&cell);
-    if !export_outputs(
-        p,
-        &outcome.metrics,
-        &outcome.links,
-        &outcome.spans,
-        &outcome.timeseries,
-        &outcome.outcome,
-    )? {
-        match &outcome.outcome {
-            RecoveryOutcome::Recovered => {
-                println!("scenario `{}`: recovered and verified", scenario.label());
-            }
-            other => println!("scenario `{}`: {other}", scenario.label()),
-        }
-        if let ScenarioKind::Continuous { .. } = kind {
-            println!("faults survived  {:>14}", outcome.metrics.faults_survived);
-            println!(
-                "steady MTTR      {:>11.0} cy",
-                outcome.metrics.steady_mttr_cycles()
-            );
-        }
-        print_metrics(&outcome.metrics);
-    }
-    fail_on_violation(&outcome.outcome)
-}
-
 const CAMPAIGN_FLAGS: &[&str] = &["spec", "jobs", "json", "out", "cell"];
 
 fn cmd_campaign(p: &Parsed) -> Result<(), ArgError> {
@@ -676,14 +554,13 @@ fn cmd_campaign(p: &Parsed) -> Result<(), ArgError> {
         return Err(ArgError("campaign needs --spec FILE".into()));
     }
     let path = p.str_or("spec", "");
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| ArgError(format!("cannot read spec {path}: {e}")))?;
+    let text = read_file(&path)?;
     let spec = CampaignSpec::parse(&text).map_err(|e| ArgError(format!("{path}: {e}")))?;
     let cells = spec.expand();
 
     // Single-cell replay: same expansion, same derived seed, one run.
     if p.has("cell") {
-        let id = p.u64_or("cell", 0)?;
+        let id = p.uint_or("cell", 0)?;
         let cell = cells
             .iter()
             .find(|c| c.id == id)
@@ -749,13 +626,11 @@ fn cmd_campaign(p: &Parsed) -> Result<(), ArgError> {
     let doc = report::campaign_json(&spec, &cells, &outcomes);
     if p.has("out") {
         let out = p.str_or("out", "");
-        std::fs::write(&out, doc.to_string_pretty())
-            .map_err(|e| ArgError(format!("cannot write {out}: {e}")))?;
+        write_file(&out, &doc.to_string_pretty())?;
         // Wall-clock timings go to a sidecar so the report diffs cleanly.
         let timing_path = timing_sidecar_path(&out);
         let timing = report::timing_json(&outcomes, wall_ms_total);
-        std::fs::write(&timing_path, timing.to_string_pretty())
-            .map_err(|e| ArgError(format!("cannot write {timing_path}: {e}")))?;
+        write_file(&timing_path, &timing.to_string_pretty())?;
         if !quiet {
             println!("wrote {out} (+ {timing_path})");
         }
@@ -838,16 +713,16 @@ fn cmd_chaos(p: &Parsed) -> Result<(), ArgError> {
     if p.has("replay") {
         return cmd_chaos_replay(p);
     }
-    let mut cfg = ChaosConfig::new(p.u64_or("seed", 0xC4A0_5EED)?);
-    cfg.seeds = p.u64_or("seeds", cfg.seeds)?;
-    cfg.cases = p.u64_or("cases", cfg.cases)?;
+    let mut cfg = ChaosConfig::new(p.uint_or("seed", 0xC4A0_5EED)?);
+    cfg.seeds = p.uint_or("seeds", cfg.seeds)?;
+    cfg.cases = p.uint_or("cases", cfg.cases)?;
     cfg.jobs = jobs_flag(p)?;
     if p.has("workload") {
         cfg.workload = workload(p)?;
     }
-    cfg.nodes = p.u64_or("nodes", u64::from(cfg.nodes))? as u16;
+    cfg.nodes = p.uint_or("nodes", cfg.nodes)?;
     cfg.freq_hz = p.f64_or("freq", cfg.freq_hz)?;
-    cfg.refs_per_node = p.u64_or("refs", cfg.refs_per_node)?;
+    cfg.refs_per_node = p.uint_or("refs", cfg.refs_per_node)?;
     cfg.net_faults = p.has("net-faults");
     cfg.soak = p.has("soak");
     cfg.nested = p.has("nested");
@@ -872,7 +747,7 @@ fn cmd_chaos(p: &Parsed) -> Result<(), ArgError> {
         let path = artifact_path(out.as_deref(), cx.case_id);
         let mut text = cx.to_json().to_string_pretty();
         text.push('\n');
-        std::fs::write(&path, text).map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
+        write_file(&path, &text)?;
         eprintln!(
             "counterexample: case {} shrunk to `{}` in {} runs -> {path}",
             cx.case_id,
@@ -886,14 +761,13 @@ fn cmd_chaos(p: &Parsed) -> Result<(), ArgError> {
     if let Some(out) = &out {
         let mut text = report.doc.to_string_pretty();
         text.push('\n');
-        std::fs::write(out, text).map_err(|e| ArgError(format!("cannot write {out}: {e}")))?;
+        write_file(out, &text)?;
         let timing_path = timing_sidecar_path(out);
         let timing = Json::obj([(
             "timing",
             Json::obj([("wall_ms_total", Json::from(report.wall_ms_total))]),
         )]);
-        std::fs::write(&timing_path, timing.to_string_pretty())
-            .map_err(|e| ArgError(format!("cannot write {timing_path}: {e}")))?;
+        write_file(&timing_path, &timing.to_string_pretty())?;
         if !quiet {
             println!("wrote {out} (+ {timing_path})");
         }
@@ -919,8 +793,7 @@ fn cmd_chaos(p: &Parsed) -> Result<(), ArgError> {
 /// reproduces (a fixed bug makes the replay *fail* with the new verdict).
 fn cmd_chaos_replay(p: &Parsed) -> Result<(), ArgError> {
     let path = p.str_or("replay", "");
-    let text =
-        std::fs::read_to_string(&path).map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
+    let text = read_file(&path)?;
     let cx = Counterexample::parse(&text).map_err(ArgError)?;
     println!(
         "replaying case {} of campaign seed 0x{:016x}: {} on {} nodes, scenario `{}`",
@@ -967,10 +840,9 @@ fn cmd_trace(p: &Parsed) -> Result<(), ArgError> {
         return Err(ArgError("trace summarize needs --spans FILE".into()));
     }
     let path = p.str_or("spans", "");
-    let text =
-        std::fs::read_to_string(&path).map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
+    let text = read_file(&path)?;
     let spans = parse_spans_jsonl(&text)?;
-    print_span_summary(&spans, p.u64_or("top", 10)? as usize);
+    print_span_summary(&spans, p.uint_or("top", 10)?);
     Ok(())
 }
 

@@ -469,3 +469,200 @@ fn trace_summarize_rejects_a_span_that_ends_before_it_starts() {
     );
     assert!(out.stdout.is_empty(), "nothing is summarized");
 }
+
+/// Asserts a clean CLI rejection: exit code 1, an `error:` line on stderr
+/// and no panic.
+fn assert_rejected(args: &[&str]) {
+    let out = ftcoma(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+}
+
+#[test]
+fn bad_machine_and_scenario_inputs_are_typed_errors() {
+    for args in [
+        &["failure", "--node", "99"][..],
+        &["failure", "--nodes", "3"],
+        &["compare", "--nodes", "3"],
+        &["run", "--nodes", "1"],
+        &["run", "--refs", "0"],
+        &["failure", "--freq", "0"],
+        &["run", "--freq", "-1"],
+        &["sweep", "--nodes", "2"],
+        &["sweep", "--freqs", "400,0"],
+        // Out-of-range integers are rejected, not truncated.
+        &["run", "--nodes", "65545"],
+        &["failure", "--node", "65537"],
+        &["run", "--max-retries", "4294967296"],
+        &["chaos", "--nodes", "65540"],
+        // Scenario rules come from the campaign's scenario parser.
+        &["failure", "--kind", "transient", "--repair-at", "90000"],
+        &["failure", "--kind", "continuous"],
+        &["failure", "--node-mtbf", "5000"],
+        &["run", "--fail-at", "0"],
+        &["run", "--fail-at", "100", "--fail-kind", "continuous"],
+    ] {
+        assert_rejected(args);
+    }
+    let out = ftcoma(&["failure", "--kind", "permanent", "--repair-at", "10"]);
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("`repair_at`"),
+        "failure's errors name the scenario keys"
+    );
+}
+
+#[test]
+fn compare_accepts_only_the_flags_it_reads() {
+    for flag in [
+        &["--json"][..],
+        &["--metrics-out", "m.json"],
+        &["--fail-at", "30000"],
+        &["--no-ft"],
+        &["--verify"],
+        &["--jobs", "2"],
+    ] {
+        let mut args = vec!["compare", "--nodes", "4", "--refs", "100"];
+        args.extend(flag);
+        assert_rejected(&args);
+    }
+}
+
+#[test]
+fn failure_json_is_byte_identical_to_the_equivalent_run() {
+    let machine = [
+        "--workload",
+        "water",
+        "--nodes",
+        "8",
+        "--refs",
+        "6000",
+        "--warmup",
+        "0",
+        "--freq",
+        "400",
+        "--seed",
+        "7",
+        "--json",
+    ];
+    let run = ftcoma(
+        &[
+            &["run", "--fail-at", "9000", "--fail-kind", "permanent"][..],
+            &["--fail-node", "2"],
+            &machine,
+        ]
+        .concat(),
+    );
+    let failure = ftcoma(
+        &[
+            &[
+                "failure",
+                "--at",
+                "9000",
+                "--kind",
+                "permanent",
+                "--node",
+                "2",
+            ][..],
+            &machine,
+        ]
+        .concat(),
+    );
+    assert!(run.status.success() && failure.status.success());
+    let doc = Json::parse(std::str::from_utf8(&run.stdout).unwrap()).unwrap();
+    let failures = doc.get("machine").and_then(|m| m.get("failures"));
+    assert_eq!(failures.and_then(|v| v.as_u64()), Some(1));
+    assert_eq!(run.stdout, failure.stdout);
+}
+
+#[test]
+fn failure_with_repairs_reports_survived_faults_and_mttr() {
+    let machine = [
+        "--workload",
+        "water",
+        "--nodes",
+        "8",
+        "--refs",
+        "8000",
+        "--warmup",
+        "0",
+        "--freq",
+        "1000",
+    ];
+    for scenario in [
+        &[
+            "--kind",
+            "permanent",
+            "--node",
+            "3",
+            "--at",
+            "20000",
+            "--repair-at",
+            "60000",
+        ][..],
+        &[
+            "--kind",
+            "continuous",
+            "--node-mtbf",
+            "60000",
+            "--node-mttr",
+            "10000",
+        ],
+    ] {
+        let out = ftcoma(&[&["failure"][..], &machine, scenario].concat());
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(stdout.starts_with("scenario `"), "{stdout}");
+        assert!(stdout.contains("\nfaults survived "), "{stdout}");
+        assert!(stdout.contains("\nsteady MTTR "), "{stdout}");
+    }
+}
+
+#[test]
+fn compare_and_sweep_measure_the_same_pair() {
+    let machine = [
+        "--workload",
+        "water",
+        "--nodes",
+        "4",
+        "--refs",
+        "8000",
+        "--warmup",
+        "0",
+        "--seed",
+        "11",
+    ];
+    let compare = ftcoma(&[&["compare", "--freq", "400"][..], &machine].concat());
+    let sweep = ftcoma(&[&["sweep", "--freqs", "400"][..], &machine].concat());
+    assert!(compare.status.success() && sweep.status.success());
+    let compare = String::from_utf8_lossy(&compare.stdout);
+    let sweep = String::from_utf8_lossy(&sweep.stdout);
+    // The value column of a compare line (`standard  85456 cycles`).
+    let num = |line: &str| line.split_whitespace().nth(1).unwrap().to_string();
+    let lines: Vec<&str> = compare.lines().collect();
+    let std_cycles = num(lines[1]);
+    assert!(
+        sweep.starts_with(&format!(
+            "baseline (standard protocol): {std_cycles} cycles"
+        )),
+        "{compare}\n{sweep}"
+    );
+    let row: Vec<&str> = sweep.lines().nth(2).unwrap().split_whitespace().collect();
+    let split: Vec<String> = lines[3..7].iter().map(|l| num(l)).collect();
+    assert_eq!(row[0], "400");
+    assert_eq!(
+        row[1..],
+        [
+            split[0].as_str(),
+            split[1].as_str(),
+            split[2].as_str(),
+            split[3].as_str()
+        ],
+        "{compare}\n{sweep}"
+    );
+}

@@ -106,31 +106,64 @@ impl MachineConfig {
         }
     }
 
-    /// Validates the configuration.
+    /// Checks the settings a user can choose — machine size, run length
+    /// and retry policy — without panicking.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if there are fewer than two nodes (the ECP needs a second AM
-    /// for every recovery copy), no references to run, or inconsistent
-    /// sub-configurations.
-    pub fn validate(&self) {
-        assert!(self.nodes >= 2, "the machine needs at least two nodes");
+    /// Returns a message naming the first problem: fewer than two nodes
+    /// (the ECP needs a second AM for every recovery copy), fewer than four
+    /// under the ECP, no references to run, or an invalid retry policy.
+    pub fn check(&self) -> Result<(), String> {
+        if self.nodes < 2 {
+            return Err("the machine needs at least two nodes".into());
+        }
         // "Four copies are necessary during the create phase" — a modified
         // item needs its two old Inv-CK copies, the Pre-Commit1 original
         // and a Pre-Commit2 replica on four *distinct* nodes (an AM holds
         // at most one copy of an item).
-        assert!(
-            !self.ft.mode.is_enabled() || self.nodes >= 4,
-            "the ECP needs at least four nodes (four copies per modified              item during establishment)"
-        );
-        assert!(self.refs_per_node > 0, "refs_per_node must be positive");
-        if let Err(e) = self.retry.validate() {
+        if self.ft.mode.is_enabled() && self.nodes < 4 {
+            return Err(format!(
+                "the ECP needs at least four nodes (four copies per modified item), got {}",
+                self.nodes
+            ));
+        }
+        if self.refs_per_node == 0 {
+            return Err("refs_per_node must be positive".into());
+        }
+        self.retry.validate()
+    }
+
+    /// Validates the configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the message of [`MachineConfig::check`], or on
+    /// inconsistent sub-configurations.
+    pub fn validate(&self) {
+        if let Err(e) = self.check() {
             panic!("{e}");
         }
         self.workload.validate();
         self.timing.validate();
         self.am.validate();
         self.cache.validate();
+    }
+
+    /// The paper's four-irreplaceable-pages capacity check (§4.1) for this
+    /// configuration: necessary (not sufficient) for injections to always
+    /// find space. Violations make a run likely to abort with an
+    /// AM-capacity panic.
+    pub fn capacity_report(&self) -> ftcoma_core::capacity::CapacityReport {
+        ftcoma_core::capacity::check(
+            &self.am,
+            self.nodes,
+            ftcoma_core::capacity::workload_pages(
+                self.workload.shared_pages,
+                self.workload.private_pages_per_node,
+                self.nodes,
+            ),
+        )
     }
 }
 

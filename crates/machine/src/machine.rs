@@ -709,22 +709,6 @@ impl Machine {
         self.mesh.link_report()
     }
 
-    /// The paper's four-irreplaceable-pages capacity check (§4.1) for this
-    /// configuration: necessary (not sufficient) for injections to always
-    /// find space. Violations make `run` likely to abort with an
-    /// AM-capacity panic.
-    pub fn capacity_report(&self) -> ftcoma_core::capacity::CapacityReport {
-        ftcoma_core::capacity::check(
-            &self.cfg.am,
-            self.cfg.nodes,
-            ftcoma_core::capacity::workload_pages(
-                self.cfg.workload.shared_pages,
-                self.cfg.workload.private_pages_per_node,
-                self.cfg.nodes,
-            ),
-        )
-    }
-
     /// The per-node states (read-only, for tests and tools).
     pub fn nodes(&self) -> &[NodeState] {
         &self.nodes

@@ -227,8 +227,7 @@ fn latency_histogram_covers_hits_and_misses() {
 
 #[test]
 fn capacity_report_printable() {
-    let m = Machine::new(base());
-    let report = m.capacity_report();
+    let report = base().capacity_report();
     let text = format!("{report}");
     assert!(text.contains("guarantee holds"), "{text}");
 }

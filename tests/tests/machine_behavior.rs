@@ -165,21 +165,20 @@ fn injection_mix_matches_paper_claim() {
 
 #[test]
 fn capacity_report_reflects_configuration() {
-    let m = Machine::new(base(FtConfig::enabled(100.0)));
-    let report = m.capacity_report();
+    let report = base(FtConfig::enabled(100.0)).capacity_report();
     assert!(
         report.fits,
         "paper-sized AMs must satisfy the guarantee: {report}"
     );
     assert!(report.worst_utilization < 0.5);
 
-    let tight = Machine::new(MachineConfig {
+    let tight = MachineConfig {
         am: ftcoma_mem::AmGeometry {
             capacity_bytes: 2 * 16 * 1024,
             ways: 1,
         },
         ..base(FtConfig::enabled(100.0))
-    });
+    };
     assert!(!tight.capacity_report().fits);
 }
 
