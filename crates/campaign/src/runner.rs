@@ -418,10 +418,11 @@ mod tests {
     use crate::spec::CampaignSpec;
 
     fn tiny_spec() -> CampaignSpec {
+        // Five nodes: the permanent scenario must leave the ECP's four.
         CampaignSpec::parse(
             r#"{
                 "workloads": ["water"],
-                "nodes": [4],
+                "nodes": [5],
                 "freqs": [400],
                 "refs": 2000,
                 "warmup": 0,

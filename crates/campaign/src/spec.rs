@@ -8,7 +8,7 @@
 //! parallel execution reproducible.
 
 use ftcoma_core::FtConfig;
-use ftcoma_machine::MachineConfig;
+use ftcoma_machine::{MachineConfig, ECP_MIN_NODES};
 use ftcoma_mem::NodeId;
 use ftcoma_sim::{derive_seed, Clock, Json};
 use ftcoma_workloads::{presets, SplashConfig};
@@ -270,6 +270,17 @@ impl Scenario {
                 "scenario targets node {v} but the machine has only {nodes} nodes"
             )));
         }
+        let mut dead = self.permanent_victims();
+        dead.sort_unstable();
+        dead.dedup();
+        let live = usize::from(nodes) - dead.len();
+        if live < usize::from(ECP_MIN_NODES) {
+            return Err(err(format!(
+                "scenario permanently fails {} of {nodes} nodes, leaving {live} live: \
+                 the ECP needs at least {ECP_MIN_NODES}",
+                dead.len()
+            )));
+        }
         if let ScenarioKind::LinkCut { to_node } = self.kind {
             let geo = ftcoma_net::MeshGeometry::for_nodes(usize::from(nodes));
             if geo.hops(NodeId::new(self.node), NodeId::new(to_node)) != 1 {
@@ -282,6 +293,35 @@ impl Scenario {
             }
         }
         Ok(())
+    }
+
+    /// Nodes the scenario fails for good (repairs aside): permanent
+    /// faults, and a dead router, which the transports escalate into a
+    /// permanent failure. May repeat a node.
+    fn permanent_victims(&self) -> Vec<u16> {
+        match self.kind {
+            ScenarioKind::Permanent
+            | ScenarioKind::BackToBack { .. }
+            | ScenarioKind::RouterDown => {
+                vec![self.node]
+            }
+            ScenarioKind::Nested {
+                second_node,
+                gap2,
+                third_node,
+                permanent_mask,
+                ..
+            } => [
+                (0b001, self.node),
+                (0b010, second_node),
+                (0b100, third_node),
+            ]
+            .into_iter()
+            .filter(|&(bit, _)| permanent_mask & bit != 0 && (bit != 0b100 || gap2 > 0))
+            .map(|(_, v)| v)
+            .collect(),
+            _ => Vec::new(),
+        }
     }
 
     /// JSON form for the campaign report (`null` for the fault-free case
@@ -1236,6 +1276,38 @@ mod tests {
             r#"{"nodes": [4], "scenarios": [{"kind": "nested", "node": 1, "second_node": 9}]}"#
         )
         .is_err());
+    }
+
+    #[test]
+    fn permanent_victims_must_leave_the_ecp_floor() {
+        let spec = |nodes: u16, scenario: &str| {
+            CampaignSpec::parse(&format!(
+                r#"{{"nodes": [{nodes}], "scenarios": [{scenario}]}}"#
+            ))
+        };
+        // Every scenario that kills a node for good (a dead router
+        // escalates to a permanent failure) needs four survivors.
+        for sc in [
+            r#"{"kind": "permanent", "node": 2}"#,
+            r#"{"kind": "permanent", "node": 2, "at": 100, "repair_at": 900}"#,
+            r#"{"kind": "back_to_back", "node": 2, "second_node": 1}"#,
+            r#"{"kind": "nested", "node": 1, "second_node": 2}"#,
+            r#"{"kind": "nested", "node": 1, "second_node": 2, "gap2": 9, "third_node": 3,
+                "permanent_mask": 4}"#,
+            r#"{"kind": "router_down", "node": 3}"#,
+        ] {
+            let e = spec(4, sc).unwrap_err();
+            assert!(e.0.contains("leaving 3 live"), "{sc}: {e}");
+            assert!(spec(5, sc).is_ok(), "{sc}");
+        }
+        // Transient faults, all-transient chains and link faults do not.
+        for sc in [
+            r#"{"kind": "transient", "node": 2}"#,
+            r#"{"kind": "nested", "node": 1, "second_node": 2, "permanent_mask": 0}"#,
+            r#"{"kind": "link_cut", "node": 0, "to_node": 1}"#,
+        ] {
+            assert!(spec(4, sc).is_ok(), "{sc}");
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ use ftcoma_campaign::{
     ScenarioKind, SnapshotForge,
 };
 use ftcoma_core::FtConfig;
-use ftcoma_machine::{export, MachineConfig};
+use ftcoma_machine::{export, MachineConfig, ECP_MIN_NODES};
 use ftcoma_mem::addr::ITEMS_PER_PAGE;
 use ftcoma_mem::NodeId;
 use ftcoma_net::MeshGeometry;
@@ -40,7 +40,8 @@ pub struct ChaosConfig {
     pub jobs: usize,
     /// Workload preset every cell runs.
     pub workload: SplashConfig,
-    /// Machine size (≥ 4 for the ECP).
+    /// Machine size (≥ 5: a sampled permanent fault must leave the ECP's
+    /// four live nodes).
     pub nodes: u16,
     /// Checkpoint frequency — high enough that several establishment
     /// windows land inside each run.
@@ -137,8 +138,13 @@ impl ChaosConfig {
         if self.seeds == 0 || self.cases == 0 {
             return Err("chaos needs at least one seed and one case".into());
         }
-        if self.nodes < 4 {
-            return Err("the ECP needs at least 4 nodes".into());
+        if self.nodes <= ECP_MIN_NODES {
+            return Err(format!(
+                "chaos samples permanent faults, which must leave {ECP_MIN_NODES} live nodes: \
+                 it needs at least {} nodes, got {}",
+                ECP_MIN_NODES + 1,
+                self.nodes
+            ));
         }
         if self.jobs == 0 {
             return Err("jobs must be at least 1".into());

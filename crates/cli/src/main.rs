@@ -104,7 +104,8 @@ RUNS AND GRIDS (run, failure, compare, sweep)
   keys of the same name (--repair-at -> repair_at, --node-mtbf ->
   node_mtbf), run's --fail-at/--fail-node onto `at`/`node`. The campaign's
   scenario parser and cell validator check them before any machine is
-  built, so their error messages name those keys.
+  built, so their error messages name those keys. A permanent fault must
+  leave the ECP at least four live nodes (so chaos needs --nodes >= 5).
 
 CAMPAIGNS
   A campaign spec (see docs/CAMPAIGNS.md) expands workloads x node counts

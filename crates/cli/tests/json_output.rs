@@ -514,6 +514,37 @@ fn bad_machine_and_scenario_inputs_are_typed_errors() {
 }
 
 #[test]
+fn permanent_fault_below_the_ecp_floor_is_a_typed_error() {
+    // A permanent fault on 4 nodes would leave 3 live nodes, below the
+    // ECP's four-copy floor; it used to abort mid-run ("AM capacity
+    // exhausted"). Five nodes keep four survivors and run.
+    let machine = "--refs 6000 --warmup 0 --freq 400 --seed 7";
+    let run = |nodes: u16| {
+        format!("run --nodes {nodes} {machine} --fail-at 9000 --fail-kind permanent --fail-node 2")
+    };
+    let failure = format!("failure --nodes 4 {machine} --kind permanent --node 2 --at 9000");
+    for cmd in [run(4), failure] {
+        let args: Vec<&str> = cmd.split_whitespace().collect();
+        assert_rejected(&args);
+        let stderr = String::from_utf8_lossy(&ftcoma(&args).stderr).into_owned();
+        assert_eq!(
+            stderr.lines().next().unwrap_or_default(),
+            "error: scenario permanently fails 1 of 4 nodes, leaving 3 live: \
+             the ECP needs at least 4",
+            "{cmd}"
+        );
+    }
+    let out = ftcoma(&run(5).split_whitespace().collect::<Vec<_>>());
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // The chaos fuzzer samples permanent faults on every machine it runs.
+    assert_rejected(&["chaos", "--nodes", "4", "--seeds", "1", "--cases", "1"]);
+}
+
+#[test]
 fn compare_accepts_only_the_flags_it_reads() {
     for flag in [
         &["--json"][..],

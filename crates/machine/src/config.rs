@@ -97,6 +97,13 @@ impl Default for MachineConfig {
     }
 }
 
+/// The smallest machine the ECP runs on. "Four copies are necessary
+/// during the create phase": a modified item needs its two old Inv-CK
+/// copies, the Pre-Commit1 original and a Pre-Commit2 replica on four
+/// *distinct* nodes (an AM holds at most one copy of an item). The floor
+/// holds for the live nodes too, after permanent failures.
+pub const ECP_MIN_NODES: u16 = 4;
+
 impl MachineConfig {
     /// The interconnect selection implied by this configuration.
     pub fn fabric(&self) -> ftcoma_net::FabricConfig {
@@ -118,11 +125,7 @@ impl MachineConfig {
         if self.nodes < 2 {
             return Err("the machine needs at least two nodes".into());
         }
-        // "Four copies are necessary during the create phase" — a modified
-        // item needs its two old Inv-CK copies, the Pre-Commit1 original
-        // and a Pre-Commit2 replica on four *distinct* nodes (an AM holds
-        // at most one copy of an item).
-        if self.ft.mode.is_enabled() && self.nodes < 4 {
+        if self.ft.mode.is_enabled() && self.nodes < ECP_MIN_NODES {
             return Err(format!(
                 "the ECP needs at least four nodes (four copies per modified item), got {}",
                 self.nodes

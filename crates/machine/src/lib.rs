@@ -43,7 +43,7 @@ pub mod machine;
 pub mod metrics;
 pub mod probe;
 
-pub use config::{FailureKind, MachineConfig};
+pub use config::{FailureKind, MachineConfig, ECP_MIN_NODES};
 pub use faultproc::{FaultDist, FaultProcess, FaultProcessConfig};
 pub use ftcoma_protocol::transport::RetryPolicy;
 pub use machine::{Machine, Snapshot};

@@ -1072,14 +1072,24 @@ impl Machine {
         if let Some(re_injected) = self.carryover[i].pop_front() {
             return Some(re_injected);
         }
-        let k = self.assigned[i].len();
+        let quota = self.cfg.warmup_refs_per_node + self.cfg.refs_per_node;
+        let assigned = &self.assigned[i];
+        // The common case: a node runs only its own stream. The general
+        // loop below would reset `rr` to 0 (`(rr + 1) % 1`), so this does.
+        if let [si] = assigned[..] {
+            if self.streams[si].refs_emitted() >= quota {
+                return None;
+            }
+            self.rr[i] = 0;
+            return Some((si, self.streams[si].next_ref()));
+        }
+        let k = assigned.len();
+        let start = self.rr[i];
         for step in 0..k {
-            let si = self.assigned[i][(self.rr[i] + step) % k];
-            let quota = self.cfg.warmup_refs_per_node + self.cfg.refs_per_node;
+            let si = assigned[(start + step) % k];
             if self.streams[si].refs_emitted() < quota {
-                self.rr[i] = (self.rr[i] + step + 1) % k;
-                let r = self.streams[si].next_ref();
-                return Some((si, r));
+                self.rr[i] = (start + step + 1) % k;
+                return Some((si, self.streams[si].next_ref()));
             }
         }
         None

@@ -6,13 +6,20 @@
 //! Per-node generators are derived with [`DetRng::split`] so adding a node
 //! does not perturb the streams of the others.
 
+/// SplitMix64's state increment γ (the golden-ratio "Weyl" constant).
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64's output function: the draw made from state `z`.
+fn mix(z: u64) -> u64 {
+    let z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// SplitMix64 step, used to derive independent seeds.
 fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    *state = state.wrapping_add(GAMMA);
+    mix(*state)
 }
 
 /// Derives an independent seed for stream `stream` of a root seed — the
@@ -129,10 +136,29 @@ impl DetRng {
     /// Precomputed-threshold form of [`geometric`](Self::geometric):
     /// consumes the same draws and returns the same value as
     /// `geometric(p, cap)` when `threshold == Self::threshold(p)`.
+    ///
+    /// Batched: SplitMix64's state after `k` draws is `s + k·γ`, so the
+    /// next four draws are independent `mix(s + k·γ)` evaluations rather
+    /// than a dependent chain. The first success in a batch is the lowest
+    /// set bit of a 4-bit mask, and the state then advances by exactly the
+    /// draws the one-at-a-time loop would consume: up to and including the
+    /// first success, or the `cap - n` failures left under the cap.
     pub fn geometric_with(&mut self, threshold: u64, cap: u64) -> u64 {
         let mut n = 0;
-        while n < cap && !self.chance_with(threshold) {
-            n += 1;
+        while n < cap {
+            let s = self.state;
+            let hit =
+                |k: u64| u32::from(mix(s.wrapping_add(k.wrapping_mul(GAMMA))) >> 11 < threshold);
+            let mask = hit(1) | hit(2) << 1 | hit(3) << 2 | hit(4) << 3;
+            // Failures before the first success (32 when there is none).
+            let first = u64::from(mask.trailing_zeros());
+            let batch = (cap - n).min(4);
+            if first < batch {
+                self.state = s.wrapping_add((first + 1).wrapping_mul(GAMMA));
+                return n + first;
+            }
+            self.state = s.wrapping_add(batch.wrapping_mul(GAMMA));
+            n += batch;
         }
         n
     }
@@ -383,6 +409,42 @@ mod tests {
                         b.snapshot(),
                         "draw counts diverged at p = {p}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batched_geometric_matches_scalar_at_every_cap_and_batch_edge() {
+        // geometric_with evaluates draws four at a time; a cap that falls
+        // inside a batch, or a success on the batch's last draw, must
+        // still consume exactly the scalar loop's draws. Caps 0..=9 cover
+        // every position of the cap within the first three batches.
+        let mut ps = vec![1e-12, 0.306, 0.99, 1.0];
+        ps.extend((1..=12).map(|k| 0.5f64.powi(k)));
+        let caps: Vec<u64> = (0..=9).chain([10_000]).collect();
+        for p in ps {
+            let t = DetRng::threshold(p);
+            for seed in 0..64 {
+                let mut a = DetRng::seeded(seed);
+                let mut b = a.clone();
+                for round in 0..8 {
+                    for &cap in &caps {
+                        // Long runs at tiny p cost 10k draws per call.
+                        if p < 1e-3 && cap > 9 && round > 0 {
+                            continue;
+                        }
+                        assert_eq!(
+                            a.geometric(p, cap),
+                            b.geometric_with(t, cap),
+                            "p = {p}, cap = {cap}, seed = {seed}"
+                        );
+                        assert_eq!(
+                            a.snapshot(),
+                            b.snapshot(),
+                            "draw counts diverged at p = {p}, cap = {cap}, seed = {seed}"
+                        );
+                    }
                 }
             }
         }

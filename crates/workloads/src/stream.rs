@@ -110,6 +110,12 @@ pub struct NodeStream {
     style: SharingStyle,
     shared_zipf: Zipf,
     panel_zipf: Option<Zipf>,
+    /// Width of one node's slice of the shared items (see `own_slice`).
+    slice_items: u64,
+    /// `[lo, lo + span)`: the shared items this node's windowed stores
+    /// land in. Fixed per node, so `shr_frame < span` always holds.
+    write_lo: u64,
+    write_span: u64,
     // Precomputed `DetRng::threshold`s for the per-reference Bernoulli
     // draws (bit-identical to the `chance(p)` forms, minus the per-call
     // float work — this path runs once per simulated reference).
@@ -118,6 +124,9 @@ pub struct NodeStream {
     shared_read_t: u64,
     shared_write_t: u64,
     priv_hot_t: u64,
+    /// The style's own draw in `pick_shared_item`: Blocked's own-panel
+    /// read (0.55), HotSpot's `hot_prob`, NeighborExchange's `local_prob`.
+    style_t: u64,
 
     // Mutable, snapshot-covered state.
     rng: DetRng,
@@ -150,9 +159,36 @@ impl NodeStream {
             }
             _ => None,
         };
+        let (node_ix, nodes_n) = (u64::from(node), u64::from(nodes));
+        let slice_items = (shared_items / nodes_n).max(1);
+        let (write_lo, write_hi) = match cfg.style {
+            SharingStyle::MostlyRead => {
+                // Writers update their own bodies, which live in the
+                // cold (less-read) half of the shared set; the hot zipf
+                // head is the read-mostly tree structure.
+                let half = shared_items / 2;
+                let span = (half / nodes_n).max(1);
+                let lo = half + (node_ix * span).min(half - 1);
+                (lo, (lo + span).min(shared_items).max(lo + 1))
+            }
+            SharingStyle::Blocked { .. } => {
+                // Blocked stores are windowed in "write space", the
+                // concatenation of all panel trailing halves (see
+                // `pick_shared_item`).
+                let write_space = (shared_items / 2).max(1);
+                slice(write_space, (write_space / nodes_n).max(1), node_ix)
+            }
+            _ => slice(shared_items, slice_items, node_ix),
+        };
+        let style_t = match cfg.style {
+            SharingStyle::Blocked { .. } => DetRng::threshold(0.55),
+            SharingStyle::HotSpot { hot_prob, .. } => DetRng::threshold(hot_prob),
+            SharingStyle::NeighborExchange { local_prob } => DetRng::threshold(local_prob),
+            _ => 0,
+        };
         Self {
-            node: u64::from(node),
-            nodes: u64::from(nodes),
+            node: node_ix,
+            nodes: nodes_n,
             shared_items,
             private_base_page: cfg.shared_pages + u64::from(node) * cfg.private_pages_per_node,
             private_items,
@@ -161,11 +197,15 @@ impl NodeStream {
             style: cfg.style,
             shared_zipf: Zipf::new(shared_items as usize, cfg.zipf_theta),
             panel_zipf,
+            slice_items,
+            write_lo,
+            write_span: write_hi - write_lo,
             mem_t: DetRng::threshold(cfg.mem_frac()),
             write_t: DetRng::threshold(cfg.write_frac / cfg.mem_frac()),
             shared_read_t: DetRng::threshold(cfg.shared_read_frac / cfg.read_frac),
             shared_write_t: DetRng::threshold(cfg.shared_write_frac / cfg.write_frac),
             priv_hot_t: DetRng::threshold(cfg.private_hot_prob),
+            style_t,
             rng: DetRng::seeded(seed).split(u64::from(node)),
             burst_item: 0,
             burst_left: 0,
@@ -196,8 +236,9 @@ impl NodeStream {
         self.priv_writes += 1;
         if self.priv_writes >= self.drift_period {
             self.priv_writes = 0;
-            self.priv_frame = (self.priv_frame + 1) % self.private_items;
+            self.priv_frame = wrap(self.priv_frame + 1, self.private_items);
         }
+        // The window may exceed the region, so this one stays a `%`.
         let idx = (self.priv_frame + self.rng.below(self.window)) % self.private_items;
         self.private_idx_to_addr(idx)
     }
@@ -207,51 +248,37 @@ impl NodeStream {
     fn private_read_addr(&mut self) -> Addr {
         let idx = if self.rng.chance_with(self.priv_hot_t) {
             let near = (self.window * 8).min(self.private_items);
-            (self.priv_frame + self.rng.below(near)) % self.private_items
+            wrap(self.priv_frame + self.rng.below(near), self.private_items)
         } else {
             self.rng.below(self.private_items)
         };
         self.private_idx_to_addr(idx)
     }
 
-    /// Windowed store inside the node's own shared slice (panel updates,
-    /// own-partition molecule updates).
-    fn sliced_write_idx(&mut self) -> u64 {
-        let (lo, hi) = self.own_slice(self.node);
-        self.windowed_write_in(lo, hi)
-    }
-
-    /// Windowed store inside `[lo, hi)` with slow drift.
-    fn windowed_write_in(&mut self, lo: u64, hi: u64) -> u64 {
-        let span = hi - lo;
+    /// Windowed store with slow drift inside the node's write slice
+    /// (`write_lo`, `write_span`): own bodies, panel updates, own-partition
+    /// molecule updates.
+    fn windowed_write(&mut self) -> u64 {
+        let span = self.write_span;
         self.shr_writes += 1;
         if self.shr_writes >= self.drift_period {
             self.shr_writes = 0;
-            self.shr_frame = (self.shr_frame + 1) % span;
+            self.shr_frame = wrap(self.shr_frame + 1, span);
         }
-        lo + (self.shr_frame + self.rng.below(self.window.min(span))) % span
+        self.write_lo + wrap(self.shr_frame + self.rng.below(self.window.min(span)), span)
     }
 
-    /// This node's slice of the shared item space, for partitioned writes.
+    /// Node `of_node`'s slice of the shared item space, for partitioned
+    /// reads and writes.
     fn own_slice(&self, of_node: u64) -> (u64, u64) {
-        let per = (self.shared_items / self.nodes).max(1);
-        let lo = (of_node * per).min(self.shared_items - 1);
-        let hi = ((of_node + 1) * per).min(self.shared_items).max(lo + 1);
-        (lo, hi)
+        slice(self.shared_items, self.slice_items, of_node)
     }
 
     fn pick_shared_item(&mut self, is_write: bool) -> u64 {
         match self.style {
             SharingStyle::MostlyRead => {
                 if is_write {
-                    // Writers update their own bodies, which live in the
-                    // cold (less-read) half of the shared set; the hot
-                    // zipf head is the read-mostly tree structure.
-                    let half = self.shared_items / 2;
-                    let span = (half / self.nodes).max(1);
-                    let lo = half + (self.node * span).min(half - 1);
-                    let hi = (lo + span).min(self.shared_items).max(lo + 1);
-                    self.windowed_write_in(lo, hi)
+                    self.windowed_write()
                 } else {
                     self.shared_zipf.sample(&mut self.rng) as u64
                 }
@@ -277,14 +304,10 @@ impl NodeStream {
                     // index lives in "write space" — the concatenation of
                     // all panel trailing halves — and is mapped back.
                     let half_panel = (panel_items / 2).max(1);
-                    let write_space = (self.shared_items / 2).max(1);
-                    let per = (write_space / self.nodes).max(1);
-                    let lo = (self.node * per).min(write_space - 1);
-                    let hi = ((self.node + 1) * per).min(write_space).max(lo + 1);
-                    let ws = self.windowed_write_in(lo, hi);
+                    let ws = self.windowed_write();
                     let panel = ws / half_panel;
                     (panel * panel_items + half_panel + ws % half_panel) % self.shared_items
-                } else if self.rng.chance(0.55) {
+                } else if self.rng.chance_with(self.style_t) {
                     // A factorisation step mostly re-reads its own panel
                     // region (local blocks, including its own updates).
                     let (lo, hi) = self.own_slice(self.node);
@@ -305,11 +328,8 @@ impl NodeStream {
                 }
             }
             SharingStyle::Uniform => self.rng.below(self.shared_items),
-            SharingStyle::HotSpot {
-                hot_items,
-                hot_prob,
-            } => {
-                if self.rng.chance(hot_prob) {
+            SharingStyle::HotSpot { hot_items, .. } => {
+                if self.rng.chance_with(self.style_t) {
                     self.rng.below(u64::from(hot_items).min(self.shared_items))
                 } else {
                     self.rng.below(self.shared_items)
@@ -317,24 +337,24 @@ impl NodeStream {
             }
             SharingStyle::ProducerConsumer => {
                 if is_write {
-                    self.sliced_write_idx()
+                    self.windowed_write()
                 } else {
                     // Consume the ring predecessor's production.
-                    let pred = (self.node + self.nodes - 1) % self.nodes;
+                    let pred = wrap(self.node + self.nodes - 1, self.nodes);
                     let (lo, hi) = self.own_slice(pred);
                     self.rng.range(lo, hi)
                 }
             }
-            SharingStyle::NeighborExchange { local_prob } => {
+            SharingStyle::NeighborExchange { .. } => {
                 if is_write {
-                    self.sliced_write_idx()
+                    self.windowed_write()
                 } else {
-                    let target = if self.rng.chance(local_prob) {
+                    let target = if self.rng.chance_with(self.style_t) {
                         self.node
-                    } else if self.rng.chance(0.5) {
-                        (self.node + 1) % self.nodes
+                    } else if self.rng.chance_with(HALF_T) {
+                        wrap(self.node + 1, self.nodes)
                     } else {
-                        (self.node + self.nodes - 1) % self.nodes
+                        wrap(self.node + self.nodes - 1, self.nodes)
                     };
                     let (lo, hi) = self.own_slice(target);
                     self.rng.range(lo, hi)
@@ -342,6 +362,29 @@ impl NodeStream {
             }
         }
     }
+}
+
+/// `DetRng::threshold(0.5)`: `ceil(0.5 · 2^53)`.
+const HALF_T: u64 = 1 << 52;
+
+/// `x mod m` for `x < 2m`: a compare and subtract instead of a division.
+/// The generator's frames stay below their modulus, so every
+/// frame-plus-offset sum it reduces with this is below twice the modulus.
+fn wrap(x: u64, m: u64) -> u64 {
+    debug_assert!(x < 2 * m, "{x} is not below twice {m}");
+    if x >= m {
+        x - m
+    } else {
+        x
+    }
+}
+
+/// Slice `node` of `0..items` cut into `per`-wide slices; the last
+/// nodes share the final item when the slices run out.
+fn slice(items: u64, per: u64, node: u64) -> (u64, u64) {
+    let lo = (node * per).min(items - 1);
+    let hi = ((node + 1) * per).min(items).max(lo + 1);
+    (lo, hi)
 }
 
 impl RefStream for NodeStream {
@@ -534,6 +577,115 @@ mod tests {
             repeats as f64 > shared_refs as f64 * 0.3,
             "only {repeats}/{shared_refs} consecutive repeats"
         );
+    }
+
+    /// FNV-1a over the little-endian bytes of `word`: a fold that, unlike
+    /// `DefaultHasher`, is the same on every platform and Rust release.
+    fn fnv(h: u64, word: u64) -> u64 {
+        word.to_le_bytes().iter().fold(h, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+
+    /// Fingerprint of the first `n` references of node `node` of 16 and of
+    /// the stream state they leave behind.
+    fn fingerprint(cfg: &SplashConfig, node: u16, n: usize) -> u64 {
+        let mut s = NodeStream::new(cfg, node, 16, 0xF7C0_3A11);
+        let mut h = 0xCBF2_9CE4_8422_2325;
+        for _ in 0..n {
+            let r = s.next_ref();
+            h = fnv(h, u64::from(r.pre_cycles));
+            h = fnv(h, u64::from(r.is_write) | u64::from(r.shared) << 1);
+            h = fnv(h, r.addr.raw());
+        }
+        let snap = s.snapshot();
+        // The next draw stands for the RNG state (SplitMix64's step is a
+        // bijection of the state).
+        let rng_word = DetRng::restore(&snap.rng).next_u64();
+        [
+            rng_word,
+            snap.burst_item,
+            u64::from(snap.burst_left),
+            snap.priv_frame,
+            u64::from(snap.priv_writes),
+            snap.shr_frame,
+            u64::from(snap.shr_writes),
+            snap.refs_emitted,
+        ]
+        .into_iter()
+        .fold(h, fnv)
+    }
+
+    fn drift_every_store(cfg: SplashConfig) -> SplashConfig {
+        SplashConfig {
+            name: format!("{} (drift 1)", cfg.name),
+            write_drift_period: 1,
+            ..cfg
+        }
+    }
+
+    #[test]
+    fn stream_fingerprints_are_pinned() {
+        // The generator's fast paths (threshold draws, batched geometric
+        // gaps, division-free window arithmetic) promise bit-identical
+        // streams. These fingerprints were computed with the plain
+        // one-draw-at-a-time generator: any change to a single reference
+        // or to the final stream state of any style changes them.
+        let cases = [
+            (
+                presets::barnes(),
+                [0xe193_8cec_c752_8f5b, 0xd45a_6c4a_bf81_b3e4],
+            ),
+            (
+                presets::cholesky(),
+                [0x94a5_8aff_dad8_65bc, 0x3bfc_ebcb_6ba8_fa3c],
+            ),
+            (
+                presets::mp3d(),
+                [0x4b07_bd1e_9df5_405a, 0x7a04_8dc9_f391_dafb],
+            ),
+            (
+                presets::water(),
+                [0xc3a5_3306_e700_fbc7, 0x3e48_9177_8f43_50b5],
+            ),
+            (
+                presets::micro_uniform(),
+                [0xda16_cc17_3c2f_ac3e, 0x7fb9_5a21_6eca_c06a],
+            ),
+            (
+                presets::micro_hotspot(),
+                [0x9793_db5b_8f93_b85f, 0xe307_08c0_8970_aba2],
+            ),
+            (
+                presets::micro_producer_consumer(),
+                [0xb343_db9e_a8a5_4641, 0x1fa2_a063_808c_d140],
+            ),
+            // The write frames advance on every store, so they wrap
+            // around their regions many times within the 100k references.
+            (
+                drift_every_store(presets::barnes()),
+                [0x37e9_ecf2_00f0_c77e, 0x9743_ce3c_0ceb_2777],
+            ),
+            (
+                drift_every_store(presets::cholesky()),
+                [0x0157_97e1_92f5_070b, 0x0ddd_34eb_d141_8666],
+            ),
+            (
+                drift_every_store(presets::water()),
+                [0x37de_82ae_2ca1_9d23, 0xf90a_fdf9_34bb_001e],
+            ),
+        ];
+        for (cfg, want) in cases {
+            let got = [
+                fingerprint(&cfg, 0, 100_000),
+                fingerprint(&cfg, 15, 100_000),
+            ];
+            assert_eq!(
+                want, got,
+                "{} stream fingerprints (nodes 0, 15) changed: got {got:#018x?}",
+                cfg.name
+            );
+        }
     }
 
     #[test]
