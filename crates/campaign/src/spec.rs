@@ -270,15 +270,11 @@ impl Scenario {
                 "scenario targets node {v} but the machine has only {nodes} nodes"
             )));
         }
-        let mut dead = self.permanent_victims();
-        dead.sort_unstable();
-        dead.dedup();
-        let live = usize::from(nodes) - dead.len();
-        if live < usize::from(ECP_MIN_NODES) {
+        if self.kills_a_node() && nodes - 1 < ECP_MIN_NODES {
             return Err(err(format!(
-                "scenario permanently fails {} of {nodes} nodes, leaving {live} live: \
+                "scenario permanently fails 1 of {nodes} nodes, leaving {} live: \
                  the ECP needs at least {ECP_MIN_NODES}",
-                dead.len()
+                nodes - 1
             )));
         }
         if let ScenarioKind::LinkCut { to_node } = self.kind {
@@ -295,32 +291,17 @@ impl Scenario {
         Ok(())
     }
 
-    /// Nodes the scenario fails for good (repairs aside): permanent
-    /// faults, and a dead router, which the transports escalate into a
-    /// permanent failure. May repeat a node.
-    fn permanent_victims(&self) -> Vec<u16> {
+    /// Whether the scenario fails a node for good (repairs aside): a
+    /// permanent fault, or a dead router, which the transports escalate
+    /// into a permanent failure. The parser allows at most one permanent
+    /// bit in a nested chain, so this is at most one node.
+    fn kills_a_node(&self) -> bool {
         match self.kind {
             ScenarioKind::Permanent
             | ScenarioKind::BackToBack { .. }
-            | ScenarioKind::RouterDown => {
-                vec![self.node]
-            }
-            ScenarioKind::Nested {
-                second_node,
-                gap2,
-                third_node,
-                permanent_mask,
-                ..
-            } => [
-                (0b001, self.node),
-                (0b010, second_node),
-                (0b100, third_node),
-            ]
-            .into_iter()
-            .filter(|&(bit, _)| permanent_mask & bit != 0 && (bit != 0b100 || gap2 > 0))
-            .map(|(_, v)| v)
-            .collect(),
-            _ => Vec::new(),
+            | ScenarioKind::RouterDown => true,
+            ScenarioKind::Nested { permanent_mask, .. } => permanent_mask != 0,
+            _ => false,
         }
     }
 
@@ -1279,7 +1260,7 @@ mod tests {
     }
 
     #[test]
-    fn permanent_victims_must_leave_the_ecp_floor() {
+    fn permanent_faults_must_leave_the_ecp_floor() {
         let spec = |nodes: u16, scenario: &str| {
             CampaignSpec::parse(&format!(
                 r#"{{"nodes": [{nodes}], "scenarios": [{scenario}]}}"#

@@ -101,7 +101,9 @@ impl Default for MachineConfig {
 /// during the create phase": a modified item needs its two old Inv-CK
 /// copies, the Pre-Commit1 original and a Pre-Commit2 replica on four
 /// *distinct* nodes (an AM holds at most one copy of an item). The floor
-/// holds for the live nodes too, after permanent failures.
+/// holds for the live nodes too, after permanent failures: scenarios and
+/// chaos are rejected if they would breach it, and the continuous fault
+/// process defers a sampled failure that would.
 pub const ECP_MIN_NODES: u16 = 4;
 
 impl MachineConfig {

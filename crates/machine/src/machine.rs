@@ -16,7 +16,7 @@ use ftcoma_sim::span::{SpanId, SpanLog, SpanPhase, SpanRecord};
 use ftcoma_sim::{derive_seed, Cycles, EventQueue, FxHashMap};
 use ftcoma_workloads::{MemRef, NodeStream, RefStream, StreamSnapshot};
 
-use crate::config::{FailureKind, MachineConfig};
+use crate::config::{FailureKind, MachineConfig, ECP_MIN_NODES};
 use crate::faultproc::{FaultAction, FaultProcess, FaultProcessConfig};
 use crate::metrics::{NodeMetrics, RunMetrics, TsSample};
 
@@ -80,12 +80,6 @@ const NET_PLAN_STREAM: u64 = 0xD1A5_7E2C_0FF3_1D07;
 /// Seed stream for the continuous fault process installed by
 /// [`Machine::install_fault_process`].
 const FAULT_PROC_STREAM: u64 = 0x8F17_0C55_C0D1_2ED9;
-
-/// The continuous fault process never sinks the machine below this many
-/// live nodes: the ECP's establishment needs four distinct copy holders
-/// per modified item, so a sampled failure that would breach the floor is
-/// deferred by a fresh MTBF draw instead.
-const FAULT_PROC_MIN_ALIVE: usize = 4;
 
 /// How long a [`Machine::set_message_loss`] window stays open. Bounded so
 /// a lossy episode behaves like a transient network fault rather than a
@@ -1074,21 +1068,18 @@ impl Machine {
         }
         let quota = self.cfg.warmup_refs_per_node + self.cfg.refs_per_node;
         let assigned = &self.assigned[i];
-        // The common case: a node runs only its own stream. The general
-        // loop below would reset `rr` to 0 (`(rr + 1) % 1`), so this does.
-        if let [si] = assigned[..] {
-            if self.streams[si].refs_emitted() >= quota {
-                return None;
-            }
-            self.rr[i] = 0;
-            return Some((si, self.streams[si].next_ref()));
-        }
         let k = assigned.len();
         let start = self.rr[i];
         for step in 0..k {
-            let si = assigned[(start + step) % k];
+            // `start < k` (the repair path keeps it so) and `step < k`: a
+            // conditional subtract replaces `% k`.
+            let mut j = start + step;
+            if j >= k {
+                j -= k;
+            }
+            let si = assigned[j];
             if self.streams[si].refs_emitted() < quota {
-                self.rr[i] = (start + step + 1) % k;
+                self.rr[i] = if j + 1 == k { 0 } else { j + 1 };
                 return Some((si, self.streams[si].next_ref()));
             }
         }
@@ -1461,7 +1452,7 @@ impl Machine {
                     // establishment floor, or a kill that would partition
                     // the live mesh.
                     if !self.nodes[node.index()].alive
-                        || self.ring.alive_count() <= FAULT_PROC_MIN_ALIVE
+                        || self.ring.alive_count() <= usize::from(ECP_MIN_NODES)
                         || !self.kill_keeps_mesh_connected(node)
                     {
                         fp.defer_node_fail(node, now);
@@ -1600,6 +1591,11 @@ impl Machine {
         }
         if !self.assigned[i].contains(&i) {
             self.assigned[i].push(i);
+        }
+        // Shrunk lists keep their round-robin cursor in range, so
+        // `next_ref_for` can step it with a subtract instead of `% k`.
+        for (rr, streams) in self.rr.iter_mut().zip(&self.assigned) {
+            *rr %= streams.len().max(1);
         }
         self.metrics.repairs += 1;
         self.metrics.per_node[i].repairs += 1;
