@@ -70,8 +70,10 @@ pub enum RecoveryOutcome {
     },
     /// Interconnect faults split the mesh: after exhausting its transport
     /// retries, the machine found both itself and its peer cut off from the
-    /// majority of live nodes. No reconfiguration can restore a consistent
-    /// memory image across the split, so the machine halts fail-stop.
+    /// majority of live nodes, or the majority too small to hold the ECP's
+    /// copies; or, with no transport, a send found a live node cut off. No
+    /// reconfiguration can restore a consistent memory image across the
+    /// split, so the machine halts fail-stop.
     PartitionedNetwork {
         /// Simulation time at which the partition was diagnosed.
         at: Cycles,

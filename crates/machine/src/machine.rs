@@ -212,6 +212,10 @@ pub struct Machine {
     outcome: RecoveryOutcome,
     /// Set when the machine stopped early on a terminal outcome.
     halted: bool,
+    /// The first `(sender, destination)` of the current event whose
+    /// fire-and-forget send found a live destination unroutable (see
+    /// [`Machine::apply_outgoing`]); the event then ends in a halt.
+    cut_off: Option<(NodeId, NodeId)>,
 }
 
 /// A frozen, deeply-cloned [`Machine`] state, cheap to fork from.
@@ -314,6 +318,7 @@ impl Machine {
             finished: false,
             outcome: RecoveryOutcome::Recovered,
             halted: false,
+            cut_off: None,
             cfg,
         };
         if machine.spans.enabled() {
@@ -1011,13 +1016,22 @@ impl Machine {
             }
             Event::FaultTick => self.on_fault_tick(),
         }
-        if self.halted {
-            return; // terminal outcome: no phase may make progress
+        // A terminal outcome, or one found pending, stops phase progress.
+        if !self.halted && self.cut_off.is_none() {
+            self.progress();
         }
+        // Halting only here, once the event's handler has returned, keeps
+        // the rest of that handler from running on a halted machine.
+        if let Some((from, to)) = self.cut_off.take() {
+            self.halt_partitioned(from, to);
+        }
+    }
+
+    /// Phase progress checks after every event.
+    fn progress(&mut self) {
         if self.cfg.workload.barrier_interval_refs.is_some() && self.phase == Phase::Running {
             self.try_release_barrier();
         }
-        // Phase progress checks after every event.
         if self.phase == Phase::Draining {
             self.try_begin_create();
         }
@@ -1972,10 +1986,13 @@ impl Machine {
                 // Fire-and-forget: either no interconnect faults are in
                 // play, or the message never leaves the node (node-local
                 // deliveries need no end-to-end framing). A send can only
-                // fail once a mesh fault has removed the route, in which
-                // case the destination must already be a dead node whose
-                // router died with it; the dead node would have swallowed
-                // the message anyway.
+                // fail once a dead router has removed the route. Usually
+                // the destination is that dead node, which would have
+                // swallowed the message anyway. But on a fallback grid a
+                // node beside the empty positions can have one neighbour,
+                // and that neighbour's death cuts it off alive; with no
+                // transport to retry and escalate, the event that finds
+                // it ends in a partitioned-network halt (see `dispatch`).
                 match self
                     .mesh
                     .send(depart, from, o.to, o.msg.class(), o.msg.payload_bytes())
@@ -1993,12 +2010,10 @@ impl Machine {
                         self.deliver_pending += 1;
                     }
                     Err(_) => {
-                        debug_assert!(
-                            !self.nodes[o.to.index()].alive,
-                            "unroutable destination {} is alive",
-                            o.to
-                        );
                         self.metrics.net_dropped_msgs += 1;
+                        if self.nodes[o.to.index()].alive {
+                            self.cut_off.get_or_insert((from, o.to));
+                        }
                     }
                 }
                 continue;
@@ -2163,9 +2178,11 @@ impl Machine {
     /// dead, so the single-failure machinery handles it. If the mesh is
     /// severed, the largest connected component of live nodes (ties broken
     /// towards the one holding the lowest node id) carries on and treats
-    /// the endpoints outside it as failed; when neither endpoint is in the
-    /// majority component, no side can safely reconfigure and the machine
-    /// halts fail-stop with [`RecoveryOutcome::PartitionedNetwork`].
+    /// the endpoints outside it as failed. When neither endpoint is in the
+    /// majority component, or that component has fewer live nodes than
+    /// the ECP's [`ECP_MIN_NODES`] floor, no side can safely reconfigure
+    /// and the machine halts fail-stop with
+    /// [`RecoveryOutcome::PartitionedNetwork`].
     fn escalate(&mut self, src: NodeId, dst: NodeId) {
         if self.mesh.reachable(src, dst) {
             // Pure message loss: the peer is unresponsive, not unreachable.
@@ -2201,17 +2218,26 @@ impl Machine {
         let src_in = best.contains(&src);
         let dst_in = best.contains(&dst);
         match (src_in, dst_in) {
+            _ if best.len() < usize::from(ECP_MIN_NODES) => self.halt_partitioned(src, dst),
             (true, false) => self.on_failure(dst, FailureKind::Permanent),
             (false, true) => self.on_failure(src, FailureKind::Permanent),
-            _ => {
-                self.outcome = RecoveryOutcome::PartitionedNetwork {
-                    at: self.queue.now(),
-                    from: src,
-                    to: dst,
-                };
-                self.halt();
-            }
+            _ => self.halt_partitioned(src, dst),
         }
+    }
+
+    /// Halts fail-stop with [`RecoveryOutcome::PartitionedNetwork`]: no
+    /// route joins `from` and `to`, and no side can safely reconfigure.
+    /// An outcome the same event already halted on stands.
+    fn halt_partitioned(&mut self, from: NodeId, to: NodeId) {
+        if self.halted {
+            return;
+        }
+        self.outcome = RecoveryOutcome::PartitionedNetwork {
+            at: self.queue.now(),
+            from,
+            to,
+        };
+        self.halt();
     }
 
     fn apply_effects(&mut self, node: NodeId, effects: Vec<Effect>) {

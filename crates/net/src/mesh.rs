@@ -5,11 +5,15 @@
 //! detours around the damage (XY with a deterministic breadth-first
 //! misroute fallback) and destinations with no healthy path are reported
 //! as a typed [`RouteError`] instead of a phantom arrival.
-
-use std::collections::{BTreeSet, VecDeque};
+//!
+//! Link state lives in flat tables indexed by link id
+//! `(y·cols + x)·4 + dir`, with `dir` one of `+x, -x, +y, -y`; per
+//! sub-network tables use slot `link·2 + class`. Sending walks the XY route
+//! in place and allocates nothing; only a route that crosses damage runs
+//! the breadth-first search.
 
 use ftcoma_mem::NodeId;
-use ftcoma_sim::{Cycles, FxHashMap};
+use ftcoma_sim::Cycles;
 
 /// Which physical sub-network a message travels on.
 ///
@@ -261,21 +265,99 @@ impl MeshGeometry {
 
     /// The XY-routing path from `a` to `b` as a list of directed unit links
     /// `((x, y), (x', y'))`: first all X movement, then all Y movement.
+    /// On a fallback grid the path may cross empty positions; [`Mesh::send`]
+    /// routes around them.
     pub fn path(&self, a: NodeId, b: NodeId) -> Vec<((usize, usize), (usize, usize))> {
-        let (mut x, mut y) = self.coords(a);
+        self.xy_links(a, b).map(|l| self.link_ends(l)).collect()
+    }
+
+    /// Grid positions, populated or not.
+    fn positions(&self) -> usize {
+        self.cols * self.rows
+    }
+
+    /// The XY route from `a` to `b` as link ids, without allocating.
+    fn xy_links(&self, a: NodeId, b: NodeId) -> XyWalk {
+        let (x, y) = self.coords(a);
         let (bx, by) = self.coords(b);
-        let mut links = Vec::with_capacity(self.hops(a, b) as usize);
-        while x != bx {
-            let nx = if bx > x { x + 1 } else { x - 1 };
-            links.push(((x, y), (nx, y)));
-            x = nx;
+        XyWalk {
+            x,
+            y,
+            bx,
+            by,
+            cols: self.cols,
         }
-        while y != by {
-            let ny = if by > y { y + 1 } else { y - 1 };
-            links.push(((x, y), (x, ny)));
-            y = ny;
+    }
+
+    /// The positions next to position `at` in direction order
+    /// `+x, -x, +y, -y`, each `None` where it would leave the grid.
+    fn neighbours(&self, at: usize) -> [Option<usize>; DIRS] {
+        let (x, y) = (at % self.cols, at / self.cols);
+        [
+            (x + 1 < self.cols).then_some(at + 1),
+            (x > 0).then(|| at - 1),
+            (y + 1 < self.rows).then_some(at + self.cols),
+            (y > 0).then(|| at - self.cols),
+        ]
+    }
+
+    /// The position link `link` leads to.
+    fn link_target(&self, link: usize) -> usize {
+        let at = link / DIRS;
+        match link % DIRS {
+            PLUS_X => at + 1,
+            MINUS_X => at - 1,
+            PLUS_Y => at + self.cols,
+            _ => at - self.cols,
         }
-        links
+    }
+
+    /// Source and destination coordinates of link `link`.
+    fn link_ends(&self, link: usize) -> Link {
+        let xy = |at: usize| (at % self.cols, at / self.cols);
+        (xy(link / DIRS), xy(self.link_target(link)))
+    }
+}
+
+/// Link directions in table order. The breadth-first detour tries
+/// neighbours in this order, which fixes its tie-break.
+const PLUS_X: usize = 0;
+const MINUS_X: usize = 1;
+const PLUS_Y: usize = 2;
+const MINUS_Y: usize = 3;
+const DIRS: usize = 4;
+
+/// Walks an XY route, yielding the id `(y·cols + x)·4 + dir` of each
+/// directed link: first all X movement, then all Y movement.
+struct XyWalk {
+    x: usize,
+    y: usize,
+    bx: usize,
+    by: usize,
+    cols: usize,
+}
+
+impl Iterator for XyWalk {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        let at = self.y * self.cols + self.x;
+        let dir = if self.x < self.bx {
+            self.x += 1;
+            PLUS_X
+        } else if self.x > self.bx {
+            self.x -= 1;
+            MINUS_X
+        } else if self.y < self.by {
+            self.y += 1;
+            PLUS_Y
+        } else if self.y > self.by {
+            self.y -= 1;
+            MINUS_Y
+        } else {
+            return None;
+        };
+        Some(at * DIRS + dir)
     }
 }
 
@@ -353,23 +435,86 @@ impl LinkReport {
 pub struct Mesh {
     geo: MeshGeometry,
     cfg: NetConfig,
-    /// Next-free time of each directed link, per sub-network.
-    link_free: FxHashMap<(Link, NetClass), Cycles>,
+    /// Next-free time of each directed link on each sub-network, at slot
+    /// `link·2 + class` (link ids as yielded by [`XyWalk`]).
+    link_free: Vec<Cycles>,
     stats: NetStats,
-    /// Per-link breakdown of the aggregate statistics.
-    link_stats: FxHashMap<(Link, NetClass), LinkStats>,
-    /// Severed links (both directions of a cut are inserted). `BTreeSet`
-    /// keeps iteration — and therefore any derived output — deterministic.
-    failed_links: BTreeSet<Link>,
-    /// Failed routers by coordinate; no message may traverse or terminate
-    /// at a failed router.
-    failed_routers: BTreeSet<(usize, usize)>,
+    /// Per-link breakdown of the aggregate statistics, slotted like
+    /// `link_free`.
+    link_stats: Vec<LinkStats>,
+    /// Links and routers no message may use.
+    blocked: Blocked,
+    /// Failed directed links plus failed routers: zero iff healthy.
+    faults: usize,
     /// When set, [`Mesh::send`] records the per-hop occupancy segments of
     /// the last routed message for the span exporter. Pure observation:
     /// arrival times and statistics are identical either way.
     hop_trace: bool,
     /// The last traced message's hops (see [`Mesh::last_hops`]).
     last_hops: Vec<HopSegment>,
+    /// Scratch of [`Mesh::send`]: each hop's link id and the cycle its
+    /// header claims the link.
+    starts: Vec<(usize, Cycles)>,
+}
+
+/// Which links and routers a message may not use.
+#[derive(Debug, Clone)]
+struct Blocked {
+    /// Severed directed links, by link id (a cut sets both directions).
+    link_cut: Vec<bool>,
+    /// Routers by grid position: failed ones, and the empty positions of a
+    /// fallback grid, which have no router at all.
+    router_down: Vec<bool>,
+}
+
+impl Blocked {
+    /// May a message cross `link` — it is intact and leads to a live router?
+    fn hop_ok(&self, geo: &MeshGeometry, link: usize) -> bool {
+        !self.link_cut[link] && !self.router_down[geo.link_target(link)]
+    }
+
+    /// The shortest route from position `src` to position `dst` over
+    /// usable links and routers, as link ids, or `None` when there is
+    /// none. Breadth-first, with neighbours tried in `+x, -x, +y, -y`
+    /// order, so the chosen route is a pure function of the fault set and
+    /// the two endpoints.
+    fn breadth_first(&self, geo: &MeshGeometry, src: usize, dst: usize) -> Option<Vec<usize>> {
+        const UNSEEN: usize = usize::MAX;
+        // The link that first reached each position.
+        let mut via = vec![UNSEEN; geo.positions()];
+        // Positions in the order reached; the queue is its tail from `next`.
+        let mut reached = Vec::with_capacity(geo.positions());
+        reached.push(src);
+        let mut next = 0;
+        'bfs: while let Some(&at) = reached.get(next) {
+            next += 1;
+            for (dir, nb) in geo.neighbours(at).into_iter().enumerate() {
+                let Some(nb) = nb else {
+                    continue;
+                };
+                let link = at * DIRS + dir;
+                if nb != src && via[nb] == UNSEEN && !self.link_cut[link] && !self.router_down[nb] {
+                    via[nb] = link;
+                    if nb == dst {
+                        break 'bfs;
+                    }
+                    reached.push(nb);
+                }
+            }
+        }
+        if via[dst] == UNSEEN {
+            return None;
+        }
+        // Walk back from `dst`, reusing `reached` for the route.
+        reached.clear();
+        let mut at = dst;
+        while at != src {
+            reached.push(via[at]);
+            at = via[at] / DIRS;
+        }
+        reached.reverse();
+        Some(reached)
+    }
 }
 
 /// One traversed hop of a traced message: the directed link plus the
@@ -390,16 +535,21 @@ pub struct HopSegment {
 impl Mesh {
     /// Creates an idle, fully healthy mesh.
     pub fn new(geo: MeshGeometry, cfg: NetConfig) -> Self {
+        let positions = geo.positions();
         Self {
             geo,
             cfg,
-            link_free: FxHashMap::default(),
+            link_free: vec![0; positions * DIRS * 2],
             stats: NetStats::default(),
-            link_stats: FxHashMap::default(),
-            failed_links: BTreeSet::new(),
-            failed_routers: BTreeSet::new(),
+            link_stats: vec![LinkStats::default(); positions * DIRS * 2],
+            blocked: Blocked {
+                link_cut: vec![false; positions * DIRS],
+                router_down: (0..positions).map(|at| at >= geo.nodes()).collect(),
+            },
+            faults: 0,
             hop_trace: false,
             last_hops: Vec::new(),
+            starts: Vec::new(),
         }
     }
 
@@ -440,15 +590,9 @@ impl Mesh {
     ///
     /// Panics if the two nodes are not mesh-adjacent.
     pub fn fail_link(&mut self, a: NodeId, b: NodeId) {
-        let ca = self.geo.coords(a);
-        let cb = self.geo.coords(b);
-        assert_eq!(
-            ca.0.abs_diff(cb.0) + ca.1.abs_diff(cb.1),
-            1,
-            "fail_link needs mesh-adjacent nodes, got {a} at {ca:?} and {b} at {cb:?}"
-        );
-        self.failed_links.insert((ca, cb));
-        self.failed_links.insert((cb, ca));
+        for link in self.link_pair(a, b, "fail_link") {
+            self.set_link_cut(link, true);
+        }
     }
 
     /// Restores a severed link between the routers of `a` and `b` (both
@@ -459,21 +603,15 @@ impl Mesh {
     ///
     /// Panics if the two nodes are not mesh-adjacent.
     pub fn repair_link(&mut self, a: NodeId, b: NodeId) {
-        let ca = self.geo.coords(a);
-        let cb = self.geo.coords(b);
-        assert_eq!(
-            ca.0.abs_diff(cb.0) + ca.1.abs_diff(cb.1),
-            1,
-            "repair_link needs mesh-adjacent nodes, got {a} at {ca:?} and {b} at {cb:?}"
-        );
-        self.failed_links.remove(&(ca, cb));
-        self.failed_links.remove(&(cb, ca));
+        for link in self.link_pair(a, b, "repair_link") {
+            self.set_link_cut(link, false);
+        }
     }
 
     /// Marks `node`'s router failed: no message may traverse or terminate
     /// at it until [`Mesh::repair_router`].
     pub fn fail_router(&mut self, node: NodeId) {
-        self.failed_routers.insert(self.geo.coords(node));
+        self.set_router_down(node, true);
     }
 
     /// Ties mesh health to a permanent node failure: the dead node's
@@ -485,92 +623,89 @@ impl Mesh {
 
     /// Restores `node`'s router (a repaired node rejoins the mesh).
     pub fn repair_router(&mut self, node: NodeId) {
-        self.failed_routers.remove(&self.geo.coords(node));
+        self.set_router_down(node, false);
     }
 
     /// Is `node`'s router currently failed?
     pub fn router_failed(&self, node: NodeId) -> bool {
-        self.failed_routers.contains(&self.geo.coords(node))
+        self.blocked.router_down[self.router(node)]
     }
 
     /// Has neither a link nor a router failed?
     pub fn healthy(&self) -> bool {
-        self.failed_links.is_empty() && self.failed_routers.is_empty()
+        self.faults == 0
     }
 
     /// Is there a healthy route from `from` to `to`?
     pub fn reachable(&self, from: NodeId, to: NodeId) -> bool {
-        from == to || self.route(from, to).is_ok()
+        if from == to {
+            return true;
+        }
+        match self.blocked_route(from, to) {
+            Ok(None) => true,
+            Ok(Some((src, dst))) => self.blocked.breadth_first(&self.geo, src, dst).is_some(),
+            Err(_) => false,
+        }
     }
 
-    /// May a message hop from router `a` to the adjacent router `b`?
-    fn hop_ok(&self, a: (usize, usize), b: (usize, usize)) -> bool {
-        !self.failed_routers.contains(&b) && !self.failed_links.contains(&(a, b))
+    /// How a message from `from` to `to` (distinct nodes) is routed under
+    /// the current fault set: `Ok(None)` when the XY route is usable,
+    /// `Ok(Some((src, dst)))`, the two router positions, when it crosses a
+    /// blocked link or router and the breadth-first route applies, and
+    /// `Err` when an endpoint router is down.
+    fn blocked_route(
+        &self,
+        from: NodeId,
+        to: NodeId,
+    ) -> Result<Option<(usize, usize)>, RouteError> {
+        // Only a fault or an empty grid position can block the XY route.
+        if self.faults == 0 && self.geo.nodes() == self.geo.positions() {
+            return Ok(None);
+        }
+        let (src, dst) = (self.router(from), self.router(to));
+        let down = &self.blocked.router_down;
+        if down[src] || down[dst] {
+            return Err(RouteError::Unreachable { from, to });
+        }
+        let mut xy = self.geo.xy_links(from, to);
+        Ok((!xy.all(|link| self.blocked.hop_ok(&self.geo, link))).then_some((src, dst)))
     }
 
-    /// The healthy route from `from` to `to`: the XY path when it is
-    /// intact, otherwise the shortest detour over healthy links and
-    /// routers (breadth-first misroute with a fixed `+x, -x, +y, -y`
-    /// neighbour order, so the chosen detour is deterministic). Returns
-    /// the links and the extra hops relative to the Manhattan distance.
-    fn route(&self, from: NodeId, to: NodeId) -> Result<(Vec<Link>, u64), RouteError> {
-        let xy = self.geo.path(from, to);
-        if self.healthy() {
-            return Ok((xy, 0));
-        }
-        let src = self.geo.coords(from);
-        let dst = self.geo.coords(to);
-        if self.failed_routers.contains(&src) || self.failed_routers.contains(&dst) {
-            return Err(RouteError::Unreachable { from, to });
-        }
-        if xy.iter().all(|&(a, b)| self.hop_ok(a, b)) {
-            return Ok((xy, 0));
-        }
-        let (cols, rows) = (self.geo.cols(), self.geo.rows());
-        let idx = |(x, y): (usize, usize)| y * cols + x;
-        let mut parent: Vec<Option<(usize, usize)>> = vec![None; cols * rows];
-        let mut seen = vec![false; cols * rows];
-        let mut queue = VecDeque::new();
-        seen[idx(src)] = true;
-        queue.push_back(src);
-        'bfs: while let Some(at @ (x, y)) = queue.pop_front() {
-            let mut neighbours = [None; 4];
-            if x + 1 < cols {
-                neighbours[0] = Some((x + 1, y));
-            }
-            if x > 0 {
-                neighbours[1] = Some((x - 1, y));
-            }
-            if y + 1 < rows {
-                neighbours[2] = Some((x, y + 1));
-            }
-            if y > 0 {
-                neighbours[3] = Some((x, y - 1));
-            }
-            for nb in neighbours.into_iter().flatten() {
-                if !seen[idx(nb)] && self.hop_ok(at, nb) {
-                    seen[idx(nb)] = true;
-                    parent[idx(nb)] = Some(at);
-                    if nb == dst {
-                        break 'bfs;
-                    }
-                    queue.push_back(nb);
-                }
-            }
-        }
-        if !seen[idx(dst)] {
-            return Err(RouteError::Unreachable { from, to });
-        }
-        let mut links = Vec::new();
-        let mut cur = dst;
-        while cur != src {
-            let prev = parent[idx(cur)].expect("reached routers have parents");
-            links.push((prev, cur));
-            cur = prev;
-        }
-        links.reverse();
-        let detour = links.len() as u64 - self.geo.hops(from, to);
-        Ok((links, detour))
+    /// The grid position of `node`'s router.
+    fn router(&self, node: NodeId) -> usize {
+        let (x, y) = self.geo.coords(node);
+        y * self.geo.cols() + x
+    }
+
+    /// The two directed link ids between the routers of adjacent nodes.
+    fn link_pair(&self, a: NodeId, b: NodeId, op: &str) -> [usize; 2] {
+        let ca = self.geo.coords(a);
+        let cb = self.geo.coords(b);
+        assert_eq!(
+            ca.0.abs_diff(cb.0) + ca.1.abs_diff(cb.1),
+            1,
+            "{op} needs mesh-adjacent nodes, got {a} at {ca:?} and {b} at {cb:?}"
+        );
+        // The XY route between adjacent routers is their one link.
+        let one_hop = |from, to| self.geo.xy_links(from, to).next().expect("one hop");
+        [one_hop(a, b), one_hop(b, a)]
+    }
+
+    fn set_link_cut(&mut self, link: usize, cut: bool) {
+        let was = std::mem::replace(&mut self.blocked.link_cut[link], cut);
+        self.count_fault(was, cut);
+    }
+
+    fn set_router_down(&mut self, node: NodeId, down: bool) {
+        let at = self.router(node);
+        let was = std::mem::replace(&mut self.blocked.router_down[at], down);
+        self.count_fault(was, down);
+    }
+
+    /// Keeps the fault count in step with one flag going from `was` to
+    /// `now`.
+    fn count_fault(&mut self, was: bool, now: bool) {
+        self.faults = self.faults + usize::from(now) - usize::from(was);
     }
 
     /// Sends a message at time `now`; returns its arrival time at `to`, or
@@ -599,69 +734,61 @@ impl Mesh {
             self.stats.payload_bytes += payload_bytes;
             return Ok(now + self.cfg.local_delay);
         }
-        let (path, detour) = self.route(from, to)?;
+        self.starts.clear();
+        self.starts
+            .extend(self.geo.xy_links(from, to).map(|link| (link, 0)));
+        let mut detour = 0;
+        if let Some((src, dst)) = self.blocked_route(from, to)? {
+            let route = self
+                .blocked
+                .breadth_first(&self.geo, src, dst)
+                .ok_or(RouteError::Unreachable { from, to })?;
+            detour = (route.len() - self.starts.len()) as u64;
+            self.starts.clear();
+            self.starts.extend(route.iter().map(|&link| (link, 0)));
+        }
         self.stats.messages += 1;
         self.stats.payload_bytes += payload_bytes;
         self.stats.detour_hops += detour;
         let flits = self.cfg.flits(payload_bytes);
+        let class = class as usize;
         // Forward pass: when does the header claim each link?
-        let mut starts = Vec::with_capacity(path.len());
         let mut head = now + self.cfg.ni_overhead;
-        for &link in &path {
-            let free = self.link_free.get(&(link, class)).copied().unwrap_or(0);
-            let start = head.max(free);
-            self.stats.contention_cycles += start - head;
-            let per = self.link_stats.entry((link, class)).or_default();
+        for (link, start) in &mut self.starts {
+            let slot = *link * 2 + class;
+            *start = head.max(self.link_free[slot]);
+            let wait = *start - head;
+            self.stats.contention_cycles += wait;
+            let per = &mut self.link_stats[slot];
             per.messages += 1;
-            per.contention_cycles += start - head;
-            starts.push(start);
-            head = start + self.cfg.router_delay;
+            per.contention_cycles += wait;
+            head = *start + self.cfg.router_delay;
         }
         let arrival = head + flits;
-        if self.hop_trace {
-            for (i, (&(a, b), &start)) in path.iter().zip(&starts).enumerate() {
-                let end = starts.get(i + 1).copied().unwrap_or(arrival);
+        let wormhole = self.cfg.switching == SwitchingModel::Wormhole;
+        for (i, &(link, start)) in self.starts.iter().enumerate() {
+            let next = self.starts.get(i + 1).map(|&(_, claim)| claim);
+            // Virtual cut-through holds each link for the serialization
+            // time only. Under wormhole switching a stalled header keeps
+            // the worm stretched over its upstream links: a link is
+            // released only when the tail drains into the next one, which
+            // it can enter only once that link was claimed.
+            let release = match next {
+                Some(next) if wormhole => next.max(start) + flits,
+                _ => start + flits,
+            };
+            let slot = link * 2 + class;
+            self.link_free[slot] = release;
+            self.stats.link_busy_cycles += release - start;
+            self.link_stats[slot].busy_cycles += release - start;
+            if self.hop_trace {
+                let (from, to) = self.geo.link_ends(link);
                 self.last_hops.push(HopSegment {
-                    from: a,
-                    to: b,
+                    from,
+                    to,
                     start,
-                    end,
+                    end: next.unwrap_or(arrival),
                 });
-            }
-        }
-        match self.cfg.switching {
-            SwitchingModel::VirtualCutThrough => {
-                // Each link is held for the serialization time only.
-                for (&link, &start) in path.iter().zip(&starts) {
-                    self.link_free.insert((link, class), start + flits);
-                    self.stats.link_busy_cycles += flits;
-                    self.link_stats
-                        .entry((link, class))
-                        .or_default()
-                        .busy_cycles += flits;
-                }
-            }
-            SwitchingModel::Wormhole => {
-                // Backward pass: a stalled header keeps the worm stretched
-                // over its upstream links; link i is released only when the
-                // tail clears it, which cannot precede the downstream
-                // claim. The tail clears the last link `flits` after its
-                // claim.
-                let mut release = *starts.last().expect("non-empty path") + flits;
-                for (i, &link) in path.iter().enumerate().rev() {
-                    if i < path.len() - 1 {
-                        // Held from our claim until the tail drains into
-                        // the next link (which it can enter only once that
-                        // link was claimed).
-                        release = (starts[i + 1] + flits).max(starts[i] + flits);
-                    }
-                    self.link_free.insert((link, class), release);
-                    self.stats.link_busy_cycles += release - starts[i];
-                    self.link_stats
-                        .entry((link, class))
-                        .or_default()
-                        .busy_cycles += release - starts[i];
-                }
             }
         }
         Ok(arrival)
@@ -681,14 +808,23 @@ impl Mesh {
         let mut rows: Vec<LinkReport> = self
             .link_stats
             .iter()
-            .map(|(&((from, to), class), &stats)| LinkReport {
-                from,
-                to,
-                class,
-                alive: !self.failed_links.contains(&(from, to))
-                    && !self.failed_routers.contains(&from)
-                    && !self.failed_routers.contains(&to),
-                stats,
+            .enumerate()
+            .filter(|(_, stats)| stats.messages > 0)
+            .map(|(slot, &stats)| {
+                let link = slot / 2;
+                let (from, to) = self.geo.link_ends(link);
+                LinkReport {
+                    from,
+                    to,
+                    class: if slot % 2 == 0 {
+                        NetClass::Request
+                    } else {
+                        NetClass::Reply
+                    },
+                    alive: !self.blocked.router_down[link / DIRS]
+                        && self.blocked.hop_ok(&self.geo, link),
+                    stats,
+                }
             })
             .collect();
         rows.sort_by_key(|r| (r.from, r.to, r.class));
@@ -727,6 +863,43 @@ mod tests {
         for i in 0..13 {
             let _ = g.coords(n(i));
         }
+    }
+
+    // Regression: on a fallback grid, XY routes ran through the empty
+    // trailing positions, which have no router. For 5 nodes (3x2), node 4
+    // at (1,1) reached node 2 at (2,0) via the empty (2,1); it now takes
+    // the Y-first path, which is just as short.
+    #[test]
+    fn fallback_grids_route_over_populated_positions_in_manhattan_length() {
+        for nodes in [5u16, 7, 13] {
+            let geo = MeshGeometry::for_nodes(nodes as usize);
+            assert!(geo.cols() * geo.rows() > nodes as usize);
+            let populated = |(x, y): (usize, usize)| y * geo.cols() + x < nodes as usize;
+            let mut mesh = Mesh::new(geo, NetConfig::default());
+            mesh.set_hop_trace(true);
+            for a in 0..nodes {
+                for b in (0..nodes).filter(|&b| b != a) {
+                    mesh.send(0, n(a), n(b), NetClass::Request, 0).unwrap();
+                    let hops = mesh.last_hops();
+                    assert_eq!(hops.len() as u64, geo.hops(n(a), n(b)), "{a} -> {b}");
+                    assert!(
+                        hops.iter().all(|h| populated(h.from) && populated(h.to)),
+                        "{nodes} nodes: {a} -> {b} crossed an empty position: {hops:?}"
+                    );
+                }
+            }
+            assert_eq!(mesh.stats().detour_hops, 0);
+            assert!(mesh.healthy());
+            assert!(mesh
+                .link_report()
+                .iter()
+                .all(|r| populated(r.from) && populated(r.to)));
+        }
+        let mut mesh = Mesh::new(MeshGeometry::for_nodes(5), NetConfig::default());
+        mesh.set_hop_trace(true);
+        mesh.send(0, n(4), n(2), NetClass::Request, 0).unwrap();
+        let hops: Vec<_> = mesh.last_hops().iter().map(|h| (h.from, h.to)).collect();
+        assert_eq!(hops, [((1, 1), (1, 0)), ((1, 0), (2, 0))]);
     }
 
     #[test]

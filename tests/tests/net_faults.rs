@@ -125,3 +125,65 @@ fn permanent_node_failure_kills_its_router() {
         .filter(|l| l.from != dead_router && l.to != dead_router)
         .all(|l| l.alive));
 }
+
+/// Regression: on a fallback grid, node 2 of 5 (3x2 grid, (2,1) empty)
+/// has one neighbour, node 1. Routes no longer pass through the empty
+/// position, so node 1's death cuts node 2 off alive. Without the
+/// transport the dropped messages used to stall the run forever; the
+/// machine now halts fail-stop as a partitioned network.
+#[test]
+fn permanent_failure_cutting_off_a_live_node_halts_partitioned() {
+    let mut cfg = base();
+    cfg.nodes = 5;
+    cfg.seed = 1;
+    let mut machine = Machine::new(cfg);
+    machine.schedule_failure(60_000, NodeId::new(1), FailureKind::Permanent);
+    machine.run();
+    assert_eq!(
+        *machine.outcome(),
+        RecoveryOutcome::PartitionedNetwork {
+            at: 60_000,
+            from: NodeId::new(0),
+            to: NodeId::new(2),
+        }
+    );
+}
+
+/// The same cut-off with the reliable transport on: the peers of node 2
+/// time out and escalate, but the majority component {0, 3, 4} holds
+/// fewer live nodes than the ECP's four-node floor, so the machine halts
+/// partitioned instead of failing node 2 as well.
+#[test]
+fn escalation_to_a_majority_below_the_ecp_floor_halts_partitioned() {
+    let mut cfg = base();
+    cfg.nodes = 5;
+    cfg.seed = 1;
+    let mut machine = Machine::new(cfg);
+    machine.preactivate_transport();
+    machine.schedule_failure(60_000, NodeId::new(1), FailureKind::Permanent);
+    let m = machine.run();
+    assert!(
+        matches!(
+            *machine.outcome(),
+            RecoveryOutcome::PartitionedNetwork { to, .. } if to == NodeId::new(2)
+        ),
+        "got {:?}",
+        machine.outcome()
+    );
+    assert_eq!(m.failures, 1, "node 2 must not be failed below the floor");
+}
+
+/// A dead router on the only path to node 2 cuts off node 1 (dead router)
+/// and node 2 (alive) at once; escalation must not shrink the machine to
+/// the three nodes of the majority component.
+#[test]
+fn router_down_isolating_two_nodes_of_five_halts_partitioned() {
+    let mut cfg = base();
+    cfg.nodes = 5;
+    cfg.seed = 1;
+    let mut machine = Machine::new(cfg);
+    machine.schedule_router_down(60_000, NodeId::new(1));
+    let m = machine.run();
+    assert_eq!(machine.outcome().label(), "partitioned_network");
+    assert!(m.failures <= 1, "{} failures", m.failures);
+}
