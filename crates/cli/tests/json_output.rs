@@ -470,14 +470,34 @@ fn trace_summarize_rejects_a_span_that_ends_before_it_starts() {
     assert!(out.stdout.is_empty(), "nothing is summarized");
 }
 
+/// Every command that reads a JSON file rejects one nested too deeply with
+/// the parser's typed error (exit 1); 50 000 levels used to overflow the
+/// stack and abort (exit 134).
+#[test]
+fn deeply_nested_json_inputs_are_typed_errors() {
+    let path = std::env::temp_dir().join(format!("ftcoma_test_deep_{}.json", std::process::id()));
+    std::fs::write(&path, "[".repeat(50_000)).unwrap();
+    let file = path.to_string_lossy();
+    for args in [
+        &["campaign", "--spec", &file][..],
+        &["chaos", "--replay", &file],
+        &["trace", "summarize", "--spans", &file],
+    ] {
+        let stderr = assert_rejected(args);
+        assert!(stderr.contains("nesting deeper than"), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
 /// Asserts a clean CLI rejection: exit code 1, an `error:` line on stderr
-/// and no panic.
-fn assert_rejected(args: &[&str]) {
+/// and no panic. Returns the stderr text.
+fn assert_rejected(args: &[&str]) -> String {
     let out = ftcoma(args);
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
     assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
     assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    stderr
 }
 
 #[test]

@@ -25,9 +25,10 @@ enum Event {
     /// Processor of `node` issues its buffered reference (valid only for
     /// the matching epoch).
     Proc { node: NodeId, epoch: u64 },
-    /// Network delivery. `sent` is the departure time, kept so delivery
-    /// can attribute the end-to-end leg latency to its causal phase.
-    Deliver { to: NodeId, msg: Msg, sent: Cycles },
+    /// Network delivery of the message parked in `slot` ([`MsgSlab`]).
+    /// `sent` is the departure time, kept so delivery can attribute the
+    /// end-to-end leg latency to its causal phase.
+    Deliver { to: NodeId, slot: u32, sent: Cycles },
     /// Stalled access of `node` completed.
     Resume { node: NodeId, epoch: u64 },
     /// Periodic recovery-point establishment.
@@ -37,12 +38,12 @@ enum Event {
     /// A replacement node rejoins in place of a permanently failed one.
     Repair { node: NodeId },
     /// Reliable-transport delivery attempt: one physical copy of packet
-    /// `(src, seq)` arriving at `to`.
+    /// `(src, seq)` arriving at `to`, its body parked in `slot`.
     NetDeliver {
         src: NodeId,
         to: NodeId,
         seq: u64,
-        msg: Msg,
+        slot: u32,
     },
     /// Transport acknowledgement for `(src, dst, seq)` arriving back at
     /// `src`.
@@ -56,6 +57,55 @@ enum Event {
     /// The continuous fault process has events due ([`FaultProcess`]);
     /// exactly one tick is in flight whenever a process is installed.
     FaultTick,
+}
+
+/// The bodies of the queued `Deliver`/`NetDeliver` events. A calendar
+/// entry carries a 4-byte slot instead of the 64-byte [`Msg`], so every
+/// push and pop moves a 24-byte [`Event`]. Freed slots are reused LIFO and
+/// the storage keeps its capacity, so the steady state allocates nothing;
+/// slot numbers never reach simulated state.
+#[derive(Debug, Clone, Default)]
+struct MsgSlab {
+    slots: Vec<Option<Msg>>,
+    free: Vec<u32>,
+}
+
+impl MsgSlab {
+    /// Parks `msg` and returns its slot.
+    fn park(&mut self, msg: Msg) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(msg);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("under 2^32 messages in flight");
+                self.slots.push(Some(msg));
+                slot
+            }
+        }
+    }
+
+    /// Takes the message out of `slot` and frees the slot.
+    fn take(&mut self, slot: u32) -> Msg {
+        let msg = self.slots[slot as usize]
+            .take()
+            .expect("a queued delivery owns its slot");
+        self.free.push(slot);
+        msg
+    }
+
+    /// Frees every slot: the calendar just dropped all message events.
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.free.clear();
+    }
+
+    /// Slots holding a parked message.
+    #[cfg(test)]
+    fn live(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
 }
 
 /// An unacknowledged transport packet awaiting its ack or next retry.
@@ -126,6 +176,8 @@ pub struct Machine {
     mesh: Fabric,
     ring: LogicalRing,
     queue: EventQueue<Event>,
+    /// Bodies of the queued message events.
+    slab: MsgSlab,
 
     streams: Vec<NodeStream>,
     snapshots: Vec<StreamSnapshot>,
@@ -267,6 +319,7 @@ impl Machine {
             mesh,
             ring: LogicalRing::new(n),
             queue: EventQueue::new(),
+            slab: MsgSlab::default(),
             streams,
             snapshots,
             pending_snap: vec![None; n],
@@ -996,12 +1049,18 @@ impl Machine {
     fn dispatch(&mut self, ev: Event) {
         match ev {
             Event::Proc { node, epoch } => self.on_proc(node, epoch),
-            Event::Deliver { to, msg, sent } => self.on_deliver(to, msg, sent),
+            Event::Deliver { to, slot, sent } => {
+                let msg = self.slab.take(slot);
+                self.on_deliver(to, msg, sent);
+            }
             Event::Resume { node, epoch } => self.on_resume(node, epoch),
             Event::CkptTimer => self.on_ckpt_timer(),
             Event::Failure { node, kind } => self.on_failure(node, kind),
             Event::Repair { node } => self.on_repair_request(node),
-            Event::NetDeliver { src, to, seq, msg } => self.on_net_deliver(src, to, seq, msg),
+            Event::NetDeliver { src, to, seq, slot } => {
+                let msg = self.slab.take(slot);
+                self.on_net_deliver(src, to, seq, msg);
+            }
             Event::NetAck { src, dst, seq } => {
                 self.in_flight.remove(&(src, dst, seq));
             }
@@ -1735,6 +1794,7 @@ impl Machine {
                     | Event::FaultTick
             )
         });
+        self.slab.clear();
         // A repair that was draining toward quiescence when this failure
         // hit would otherwise be lost for good (the phase leaves Draining
         // and `pending_repair` is only consumed at quiescence), wedging
@@ -1964,6 +2024,7 @@ impl Machine {
         );
         self.halted = true;
         self.queue.clear();
+        self.slab.clear();
         self.deliver_pending = 0;
         self.timer_in_queue = false;
     }
@@ -1999,11 +2060,12 @@ impl Machine {
                 {
                     Ok(arrival) => {
                         self.record_hop_spans(&o.msg, o.to);
+                        let slot = self.slab.park(o.msg);
                         self.queue.schedule(
                             arrival,
                             Event::Deliver {
                                 to: o.to,
-                                msg: o.msg,
+                                slot,
                                 sent: depart,
                             },
                         );
@@ -2065,13 +2127,14 @@ impl Machine {
                     if attempt == 0 {
                         self.record_hop_spans(&msg, dst);
                     }
+                    let slot = self.slab.park(msg);
                     self.queue.schedule(
                         arrival + extra_delay,
                         Event::NetDeliver {
                             src,
                             to: dst,
                             seq,
-                            msg,
+                            slot,
                         },
                     );
                 }
@@ -2329,6 +2392,130 @@ mod tests {
             ft: FtConfig::enabled(400.0),
             verify: true,
             ..MachineConfig::default()
+        }
+    }
+
+    #[test]
+    fn calendar_events_stay_compact() {
+        let size = std::mem::size_of::<Event>();
+        assert!(size <= 24, "Event grew to {size} bytes");
+    }
+
+    /// Queued `Deliver`/`NetDeliver` events; checks that each owns one
+    /// live slab slot and no slot is orphaned.
+    fn queued_messages(m: &Machine) -> usize {
+        let queued = m
+            .queue
+            .iter()
+            .filter(|e| matches!(e, Event::Deliver { .. } | Event::NetDeliver { .. }))
+            .count();
+        assert_eq!(
+            m.slab.live(),
+            queued,
+            "live slab slots vs queued message events at cycle {}",
+            m.queue.now()
+        );
+        queued
+    }
+
+    /// Runs `m` to completion in `step`-cycle slices, checking the slab
+    /// after each slice; returns the most message events seen queued.
+    fn run_checking_slab(m: &mut Machine, step: Cycles) -> usize {
+        let mut peak = queued_messages(m);
+        let mut limit = m.queue.now() + step;
+        loop {
+            m.run_until(limit);
+            peak = peak.max(queued_messages(m));
+            let finished = m.all_done() && m.deliver_pending == 0 && m.phase == Phase::Running;
+            if m.halted || finished || m.queue.is_empty() {
+                break;
+            }
+            limit += step;
+        }
+        m.run();
+        queued_messages(m);
+        peak
+    }
+
+    #[test]
+    fn slab_slots_track_queued_messages_through_faults_halts_and_forks() {
+        // Transient failure: the purge drops every in-flight message.
+        let mut m = Machine::new(small_ecp_config());
+        m.schedule_failure(20_000, NodeId::new(2), FailureKind::Transient);
+        assert!(run_checking_slab(&mut m, 997) > 0);
+        assert!(m.outcome().is_recovered());
+
+        // Permanent failure with the transport on and lossy: duplicate
+        // and retransmitted copies each park their own body.
+        let mut m = Machine::new(small_ecp_config());
+        m.preactivate_transport();
+        m.set_message_loss(5_000, 200);
+        m.schedule_failure(30_000, NodeId::new(3), FailureKind::Permanent);
+        assert!(run_checking_slab(&mut m, 997) > 0);
+        assert!(m.outcome().is_recovered());
+        assert!(m.metrics().net_retries > 0, "the loss window must bite");
+
+        // A partitioned-network halt clears the calendar and the slab.
+        let mut m = Machine::new(MachineConfig {
+            nodes: 5,
+            seed: 1,
+            refs_per_node: 4_000,
+            warmup_refs_per_node: 0,
+            ft: FtConfig::enabled(1_000.0),
+            ..small_ecp_config()
+        });
+        m.preactivate_transport();
+        m.schedule_failure(60_000, NodeId::new(1), FailureKind::Permanent);
+        run_checking_slab(&mut m, 997);
+        assert!(matches!(
+            m.outcome(),
+            RecoveryOutcome::PartitionedNetwork { .. }
+        ));
+        assert_eq!(m.slab.live(), 0);
+
+        // A fork carries the parked bodies of its prefix's queued events.
+        let mut prefix = Machine::new(small_ecp_config());
+        prefix.run_until(20_000);
+        let snap = prefix.snapshot();
+        let mut fork = snap.to_machine();
+        assert!(
+            queued_messages(&fork) > 0,
+            "fork point has messages in flight"
+        );
+        fork.schedule_failure(20_000, NodeId::new(2), FailureKind::Permanent);
+        run_checking_slab(&mut fork, 997);
+        assert!(fork.outcome().is_recovered());
+    }
+
+    /// A dead destination swallows its message, and the slot must be
+    /// freed all the same. Real runs seldom take that branch (a permanent
+    /// failure purges the calendar and takes the router down with the
+    /// node), so this test stops a node fail-silent while deliveries to it
+    /// are still queued.
+    #[test]
+    fn delivery_to_a_dead_node_frees_its_slot() {
+        for transport in [false, true] {
+            let mut m = Machine::new(small_ecp_config());
+            if transport {
+                m.preactivate_transport();
+            }
+            m.run_until(20_000);
+            let to = m
+                .queue
+                .iter()
+                .find_map(|e| match *e {
+                    Event::Deliver { to, .. } | Event::NetDeliver { to, .. } => Some(to),
+                    _ => None,
+                })
+                .expect("deliveries in flight at the cut");
+            let i = to.index();
+            m.nodes[i].alive = false;
+            m.proc[i] = ProcState::Dead;
+            m.epochs[i] += 1;
+            for limit in (20_050..=22_000).step_by(50) {
+                m.run_until(limit);
+                queued_messages(&m);
+            }
         }
     }
 

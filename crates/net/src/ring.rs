@@ -24,6 +24,8 @@ use ftcoma_mem::NodeId;
 #[derive(Debug, Clone)]
 pub struct LogicalRing {
     alive: Vec<bool>,
+    /// Number of `true` flags in `alive`, kept by `mark_dead`/`mark_alive`.
+    live: usize,
 }
 
 impl LogicalRing {
@@ -36,6 +38,7 @@ impl LogicalRing {
         assert!(n > 0, "ring requires at least one node");
         Self {
             alive: vec![true; n],
+            live: n,
         }
     }
 
@@ -56,17 +59,21 @@ impl LogicalRing {
 
     /// Reconfigures the ring around a failed node.
     pub fn mark_dead(&mut self, node: NodeId) {
-        self.alive[node.index()] = false;
+        if std::mem::replace(&mut self.alive[node.index()], false) {
+            self.live -= 1;
+        }
     }
 
     /// Restores a repaired node to the ring.
     pub fn mark_alive(&mut self, node: NodeId) {
-        self.alive[node.index()] = true;
+        if !std::mem::replace(&mut self.alive[node.index()], true) {
+            self.live += 1;
+        }
     }
 
     /// Number of live nodes.
     pub fn alive_count(&self) -> usize {
-        self.alive.iter().filter(|&&a| a).count()
+        self.live
     }
 
     /// Iterates over the live nodes in index order.
@@ -136,6 +143,19 @@ mod tests {
         ring.mark_dead(n(2));
         assert_eq!(ring.successor(n(0)), Some(n(3)));
         assert_eq!(ring.alive_count(), 2);
+    }
+
+    #[test]
+    fn alive_count_changes_only_on_state_changes() {
+        let mut ring = LogicalRing::new(5);
+        ring.mark_dead(n(2));
+        ring.mark_dead(n(2));
+        assert_eq!(ring.alive_count(), 4);
+        ring.mark_alive(n(2));
+        ring.mark_alive(n(2));
+        assert_eq!(ring.alive_count(), 5);
+        ring.mark_alive(n(0));
+        assert_eq!(ring.alive_count(), ring.alive_nodes().count());
     }
 
     #[test]

@@ -62,6 +62,12 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser and
+/// the drop of the parsed tree both recurse once per level, so an
+/// unbounded depth lets a small hostile file overflow the stack. The
+/// deepest document the tools write, a campaign report, nests nine levels.
+pub const MAX_DEPTH: usize = 128;
+
 impl From<bool> for Json {
     fn from(b: bool) -> Self {
         Json::Bool(b)
@@ -227,11 +233,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonError`] with the byte offset of the first problem.
+    /// Returns a [`JsonError`] with the byte offset of the first problem,
+    /// including arrays and objects nested deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -285,6 +293,8 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -325,8 +335,7 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') => self.nested(),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -334,6 +343,22 @@ impl<'a> Parser<'a> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses an object or array one level deeper than the current one,
+    /// refusing to go past [`MAX_DEPTH`].
+    fn nested(&mut self) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = if self.peek() == Some(b'{') {
+            self.object()
+        } else {
+            self.array()
+        };
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -546,6 +571,27 @@ mod tests {
         ] {
             assert!(Json::parse(text).is_err(), "{text} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_limited_to_max_depth() {
+        let nest = |open: &str, close: &str, depth: usize| {
+            format!("{}1{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(Json::parse(&nest("[", "]", MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nest("{\"k\":", "}", MAX_DEPTH)).is_ok());
+        for text in [
+            nest("[", "]", MAX_DEPTH + 1),
+            nest("{\"k\":", "}", MAX_DEPTH + 1),
+            "[".repeat(50_000),
+        ] {
+            let e = Json::parse(&text).expect_err("too deep");
+            assert!(e.message.contains("nesting deeper"), "{e}");
+        }
+        assert_eq!(
+            Json::parse(&"[".repeat(50_000)).unwrap_err().offset,
+            MAX_DEPTH
+        );
     }
 
     #[test]

@@ -321,6 +321,12 @@ impl<E> EventQueue<E> {
         }
         self.far.retain(|Reverse(e)| keep(&e.event));
     }
+
+    /// Iterates over the pending events in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = &E> {
+        let near = self.lanes.iter().flatten().map(|(_, e)| e);
+        near.chain(self.far.iter().map(|Reverse(e)| &e.event))
+    }
 }
 
 impl<E> Default for EventQueue<E> {
@@ -417,6 +423,18 @@ mod tests {
         q.schedule(20, 'b');
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(order, vec![(10, 'a'), (20, 'b'), (30, 'c')]);
+    }
+
+    #[test]
+    fn iter_sees_near_and_far_events() {
+        let mut q = EventQueue::new();
+        q.schedule(3, 'a');
+        q.schedule(LANES as u64 * 4, 'b');
+        q.schedule(3, 'c');
+        let mut seen: Vec<char> = q.iter().copied().collect();
+        seen.sort_unstable();
+        assert_eq!(seen, vec!['a', 'b', 'c']);
+        assert_eq!(q.iter().count(), q.len());
     }
 
     #[test]
